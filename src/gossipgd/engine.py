@@ -22,6 +22,7 @@ import numpy as np
 from . import diagnostics
 from .problem import AgentData, SpectralProblem
 from .topology import GossipMatrix
+from .tuning import check_theta
 
 PROTOCOL_VARIANTS = ("gossip_after_gradient", "gossip_before_gradient")
 
@@ -47,8 +48,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.eta <= 0.0:
             raise ValueError("eta must be positive")
-        if not 0.0 <= self.theta <= 0.75:
-            raise ValueError(f"theta must be in [0, 3/4], got {self.theta}")
+        check_theta(self.theta)
 
     def at(self, t: int) -> float:
         return self.eta if self.theta == 0.0 else self.eta * float(t) ** (-self.theta)

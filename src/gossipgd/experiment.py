@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields
 from itertools import product
@@ -30,44 +30,102 @@ from .topology import (
     build_topology,
     chebyshev_accelerate,
 )
-from .tuning import tune_plan
+from .tuning import check_theta, tune_plan
 
 SCHEMA_VERSION = 1
 
 ETA_AUTO = "auto"
 
+_REQUIRED = object()  # default of a key the config must set
+
+
+def _key(section, parse, default=_REQUIRED, check=None, key=None):
+    """Declare one config key: its section, INI name, parser, default and check.
+
+    ``key`` is the INI name where it differs from the field name; ``check``
+    raises ValueError for a parsed value outside the allowed range.
+    """
+    meta = {"section": section, "key": key, "parse": parse, "default": default, "check": check}
+    return field(metadata=meta)
+
+
+def _rule(ok, allowed):
+    def check(value):
+        if not ok(value):
+            raise ValueError(f"must be {allowed}")
+
+    return check
+
+
+def _one_of(options):
+    return _rule(lambda v: v in options, f"one of {options}")
+
+
+def _at_least(lo):
+    return _rule(lambda v: v >= lo, f">= {lo}")
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    values = tuple(int(v) for v in text.replace(",", " ").split())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+def _parse_edges(text: str) -> tuple[tuple[int, int], ...]:
+    edges = []
+    for chunk in text.replace(",", " ").split():
+        a, sep, b = chunk.partition("-")
+        if not sep:
+            raise ValueError(f"edge {chunk!r} is not of the form v-w")
+        edges.append((int(a), int(b)))
+    return tuple(edges)
+
+
+def _parse_eta(text: str) -> str | float:
+    return ETA_AUTO if text == ETA_AUTO else float(text)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep config; each field declares its INI key, default and check.
+
+    The field order is the order of the CSV's config echo.
+    """
+
     # problem
-    d: int
-    gamma: float
-    r: float
-    R: float
-    noise_sigma: float
-    sampler: str
-    # topology
-    kind: str
-    weight_scheme: str
-    rows: int | None
-    cols: int | None
-    degree: int | None
-    topology_seed: int
-    edges: tuple[tuple[int, int], ...] | None
-    chebyshev_k: int
+    d: int = _key("problem", int, check=_at_least(1))
+    gamma: float = _key("problem", float, check=_rule(lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
+    r: float = _key("problem", float, check=_at_least(0.5))
+    R: float = _key("problem", float, 1.0, _rule(lambda v: v > 0.0, "positive"))
+    noise_sigma: float = _key("problem", float, 0.0, _at_least(0.0))
+    sampler: str = _key("problem", str, "coordinate", _one_of(SAMPLERS))
+    # topology: rows/cols, degree/seed and edges are checked by building every sweep n's graph
+    kind: str = _key("topology", str, check=_one_of(TOPOLOGY_KINDS))
+    weight_scheme: str = _key("topology", str, "metropolis_lazy", _one_of(WEIGHT_SCHEMES))
+    rows: int | None = _key("topology", int, None)
+    cols: int | None = _key("topology", int, None)
+    degree: int | None = _key("topology", int, None)
+    topology_seed: int = _key("topology", int, 0, key="seed")
+    edges: tuple[tuple[int, int], ...] | None = _key("topology", _parse_edges, None)
+    chebyshev_k: int = _key("topology", int, 0, _at_least(0))  # 0 disables acceleration
     # sweep
-    sweep_n: tuple[int, ...]
-    sweep_m: tuple[int, ...]
+    sweep_n: tuple[int, ...] = _key("sweep", _int_list, key="n")
+    sweep_m: tuple[int, ...] = _key(
+        "sweep", _int_list, check=_rule(lambda ms: min(ms) >= 1, "all >= 1"), key="m"
+    )
     # schedule: eta is either the token "auto" (tuned per sweep point) or a number
-    theta: float
-    eta: str | float
+    theta: float = _key("schedule", float, 0.0, check_theta)
+    eta: str | float = _key(
+        "schedule", _parse_eta, check=_rule(lambda v: v == ETA_AUTO or v > 0.0, "positive or auto")
+    )
     # run
-    t_max: int
-    stride: int  # 0 means the default max(1, updates // 200)
-    replicates: int
-    master_seed: int
-    protocol: str
-    output: str
+    t_max: int = _key("run", int, check=_at_least(1), key="T_max")
+    stride: int = _key("run", int, 0, _at_least(0))  # 0 means the default max(1, updates // 200)
+    replicates: int = _key("run", int, 1, _at_least(1))
+    master_seed: int = _key("run", int, 0, _at_least(0))
+    protocol: str = _key("run", str, "gossip_after_gradient", _one_of(engine.PROTOCOL_VARIANTS))
+    output: str = _key("run", str, "results.csv")
 
 
 @dataclass(frozen=True)
@@ -108,193 +166,69 @@ def derive_seed(master_seed: int, sweep_index: int, replicate: int) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def _parse_edges(text: str) -> tuple[tuple[int, int], ...]:
-    edges = []
-    for chunk in text.replace(",", " ").split():
-        a, sep, b = chunk.partition("-")
-        if not sep:
-            raise ValueError(f"edge {chunk!r} is not of the form v-w")
-        edges.append((int(a), int(b)))
-    return tuple(edges)
-
-
-class _Section:
-    """Typed accessor over one config section with field-level errors."""
-
-    def __init__(self, name, mapping):
-        self.name = name
-        self.mapping = dict(mapping)
-
-    def take(self, key, conv, default=None, required=False):
-        if key not in self.mapping:
-            if required:
-                raise ValueError(f"[{self.name}] missing required key {key!r}")
-            return default
-        raw = self.mapping.pop(key)
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ValueError(f"[{self.name}] {key} = {raw!r}: {exc}") from None
-
-    def finish(self):
-        if self.mapping:
-            stray = ", ".join(sorted(self.mapping))
-            raise ValueError(f"[{self.name}] unknown keys: {stray}")
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    values = tuple(int(v) for v in text.replace(",", " ").split())
-    if not values:
-        raise ValueError("empty list")
-    return values
-
-
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment config file."""
+    """Parse and validate an experiment config file.
+
+    Every key is parsed and checked as its field declares; then the checks
+    that span keys run, including building the graph of every sweep n, so
+    a config that loads cannot fail on its topology mid-sweep.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str  # keys like T_max and R are case sensitive
     read = parser.read(path)
     if not read:
         raise ValueError(f"config file not found: {path}")
-    known = {"problem", "topology", "sweep", "schedule", "run"}
-    extra = set(parser.sections()) - known
+    schema = dataclass_fields(ExperimentConfig)
+    known = dict.fromkeys(f.metadata["section"] for f in schema)
+    extra = set(parser.sections()) - set(known)
     if extra:
         raise ValueError(f"unknown config sections: {sorted(extra)}")
     for section in known:
         if not parser.has_section(section):
             raise ValueError(f"missing config section [{section}]")
 
-    prob = _Section("problem", parser["problem"])
-    d = prob.take("d", int, required=True)
-    gamma = prob.take("gamma", float, required=True)
-    r = prob.take("r", float, required=True)
-    R = prob.take("R", float, default=1.0)
-    noise_sigma = prob.take("noise_sigma", float, default=0.0)
-    sampler = prob.take("sampler", str, default="coordinate")
-    prob.finish()
-    if sampler not in SAMPLERS:
-        raise ValueError(f"[problem] sampler must be one of {SAMPLERS}, got {sampler!r}")
-
-    topo = _Section("topology", parser["topology"])
-    kind = topo.take("kind", str, required=True)
-    weight_scheme = topo.take("weight_scheme", str, default="metropolis_lazy")
-    rows = topo.take("rows", int)
-    cols = topo.take("cols", int)
-    degree = topo.take("degree", int)
-    topology_seed = topo.take("seed", int, default=0)
-    edges = topo.take("edges", _parse_edges)
-    chebyshev_k = topo.take("chebyshev_k", int, default=0)
-    topo.finish()
-    if kind not in TOPOLOGY_KINDS:
-        raise ValueError(f"[topology] kind must be one of {TOPOLOGY_KINDS}, got {kind!r}")
-    if weight_scheme not in WEIGHT_SCHEMES:
-        raise ValueError(
-            f"[topology] weight_scheme must be one of {WEIGHT_SCHEMES}, got {weight_scheme!r}"
-        )
-    if chebyshev_k < 0:
-        raise ValueError("[topology] chebyshev_k must be >= 0 (0 disables acceleration)")
-
-    sweep = _Section("sweep", parser["sweep"])
-    sweep_n = sweep.take("n", _int_list, required=True)
-    sweep_m = sweep.take("m", _int_list, required=True)
-    sweep.finish()
-
-    sched = _Section("schedule", parser["schedule"])
-    theta = sched.take("theta", float, default=0.0)
-    eta_raw = sched.take("eta", str, required=True)
-    sched.finish()
-    if eta_raw == ETA_AUTO:
-        eta: str | float = ETA_AUTO
-        if theta != 0.0:
-            raise ValueError("[schedule] eta = auto requires theta = 0 (constant steps)")
-    else:
+    unread = {section: dict(parser[section]) for section in known}
+    values = {}
+    for f in schema:
+        meta = f.metadata
+        section, key = meta["section"], meta["key"] or f.name
+        if key not in unread[section]:
+            if meta["default"] is _REQUIRED:
+                raise ValueError(f"[{section}] missing required key {key!r}")
+            values[f.name] = meta["default"]
+            continue
+        raw = unread[section].pop(key)
         try:
-            eta = float(eta_raw)
-        except ValueError:
-            raise ValueError(
-                f"[schedule] eta must be a number or {ETA_AUTO!r}, got {eta_raw!r}"
-            ) from None
-        if eta <= 0.0:
-            raise ValueError("[schedule] eta must be positive")
+            values[f.name] = meta["parse"](raw)
+            if meta["check"] is not None:
+                meta["check"](values[f.name])
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {key} = {raw!r}: {exc}") from None
+    for section, stray in unread.items():
+        if stray:
+            raise ValueError(f"[{section}] unknown keys: {', '.join(sorted(stray))}")
+    cfg = ExperimentConfig(**values)
 
-    runsec = _Section("run", parser["run"])
-    t_max = runsec.take("T_max", int, required=True)
-    stride = runsec.take("stride", int, default=0)
-    replicates = runsec.take("replicates", int, default=1)
-    master_seed = runsec.take("master_seed", int, default=0)
-    protocol = runsec.take("protocol", str, default="gossip_after_gradient")
-    output = runsec.take("output", str, default="results.csv")
-    runsec.finish()
-    if t_max < 1:
-        raise ValueError("[run] T_max must be >= 1")
-    if stride < 0:
-        raise ValueError("[run] stride must be >= 0")
-    if replicates < 1:
-        raise ValueError("[run] replicates must be >= 1")
-    if master_seed < 0:
-        raise ValueError("[run] master_seed must be nonnegative")
-    if protocol not in engine.PROTOCOL_VARIANTS:
-        raise ValueError(
-            f"[run] protocol must be one of {engine.PROTOCOL_VARIANTS}, got {protocol!r}"
-        )
-
-    return ExperimentConfig(
-        d=d,
-        gamma=gamma,
-        r=r,
-        R=R,
-        noise_sigma=noise_sigma,
-        sampler=sampler,
-        kind=kind,
-        weight_scheme=weight_scheme,
-        rows=rows,
-        cols=cols,
-        degree=degree,
-        topology_seed=topology_seed,
-        edges=edges,
-        chebyshev_k=chebyshev_k,
-        sweep_n=sweep_n,
-        sweep_m=sweep_m,
-        theta=theta,
-        eta=eta,
-        t_max=t_max,
-        stride=stride,
-        replicates=replicates,
-        master_seed=master_seed,
-        protocol=protocol,
-        output=output,
-    )
+    if cfg.eta == ETA_AUTO and cfg.theta != 0.0:
+        raise ValueError("[schedule] eta = auto requires theta = 0 (constant steps)")
+    for n in cfg.sweep_n:
+        try:
+            _build_graph(cfg, n)
+        except ValueError as exc:
+            raise ValueError(f"[topology] kind = {cfg.kind} at sweep n = {n}: {exc}") from None
+    return cfg
 
 
 def _config_echo(cfg: ExperimentConfig) -> list[str]:
     """Canonical comment-block echo; fixed order so reruns are byte-identical."""
-    sections = {
-        "problem": ["d", "gamma", "r", "R", "noise_sigma", "sampler"],
-        "topology": [
-            "kind",
-            "weight_scheme",
-            "rows",
-            "cols",
-            "degree",
-            "topology_seed",
-            "edges",
-            "chebyshev_k",
-        ],
-        "sweep": ["sweep_n", "sweep_m"],
-        "schedule": ["theta", "eta"],
-        "run": ["t_max", "stride", "replicates", "master_seed", "protocol", "output"],
-    }
     lines = [f"# schema_version = {SCHEMA_VERSION}"]
-    for section, keys in sections.items():
-        for key in keys:
-            value = getattr(cfg, key)
-            if isinstance(value, float):
-                value = repr(value)
-            lines.append(f"# config.{section}.{key} = {value}")
+    for f in dataclass_fields(cfg):
+        value = _format_cell(getattr(cfg, f.name))
+        lines.append(f"# config.{f.metadata['section']}.{f.name} = {value}")
     return lines
 
 
-def _build_gossip(cfg: ExperimentConfig, n: int):
+def _build_graph(cfg: ExperimentConfig, n: int):
     top = Topology(
         kind=cfg.kind,
         n=n,
@@ -304,7 +238,11 @@ def _build_gossip(cfg: ExperimentConfig, n: int):
         edges=cfg.edges,
         seed=cfg.topology_seed,
     )
-    P = build_gossip_matrix(build_topology(top), cfg.weight_scheme)
+    return build_topology(top)
+
+
+def _build_gossip(cfg: ExperimentConfig, n: int):
+    P = build_gossip_matrix(_build_graph(cfg, n), cfg.weight_scheme)
     if cfg.chebyshev_k >= 2:
         P = chebyshev_accelerate(P, cfg.chebyshev_k)
     return P
@@ -396,23 +334,29 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", threads: int = 1) -> Path
         sweep_index, n, m, replicate = job
         return _run_one(cfg, sweep_index, n, m, replicate)
 
-    if threads == 1:
-        blocks = [work(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(work, jobs))
-
     out_path = Path(out_dir) / cfg.output
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in _config_echo(cfg):
-            fh.write(line + "\n")
-        fh.write(",".join(RUN_RECORD_COLUMNS) + "\n")
-        for block in blocks:
-            for row in block:
-                fh.write(
-                    ",".join(_format_cell(getattr(row, c)) for c in RUN_RECORD_COLUMNS) + "\n"
-                )
+    # rows stream to a temp file in sweep order; it replaces out_path only
+    # once every job has finished, so a failed sweep leaves no truncated CSV
+    tmp_path = out_path.with_name(f".{out_path.name}.tmp")
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool, open(
+            tmp_path, "w", encoding="utf-8", newline="\n"
+        ) as fh:
+            blocks = map(work, jobs) if threads == 1 else pool.map(work, jobs)
+            for line in _config_echo(cfg):
+                fh.write(line + "\n")
+            fh.write(",".join(RUN_RECORD_COLUMNS) + "\n")
+            for block in blocks:
+                for row in block:
+                    fh.write(
+                        ",".join(_format_cell(getattr(row, c)) for c in RUN_RECORD_COLUMNS)
+                        + "\n"
+                    )
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
     return out_path
 
 

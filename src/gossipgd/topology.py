@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .problem import _freeze
+
 TOPOLOGY_KINDS = (
     "complete",
     "cycle",
@@ -223,12 +225,6 @@ class GossipMatrix:
     degree: int
     nonnegative: bool = True
     chebyshev_k: int = 0
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 def _row_degree(entries: np.ndarray) -> int:

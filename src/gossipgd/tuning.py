@@ -74,6 +74,12 @@ def _snap(x: float) -> float:
     return x
 
 
+def check_theta(theta: float) -> None:
+    """Step-decay exponents the rates cover: ``0 <= theta < 3/4``."""
+    if not 0.0 <= theta < 0.75:
+        raise ValueError(f"theta must be in [0, 3/4), got {theta}")
+
+
 def _validate_common(n, m, r, gamma, sigma2):
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
@@ -191,8 +197,7 @@ def rate_terms(
         raise ValueError("eta must be positive")
     if t < 2:
         raise ValueError("rate terms need t >= 2")
-    if not 0.0 <= theta < 0.75:
-        raise ValueError(f"theta must be in [0, 3/4), got {theta}")
+    check_theta(theta)
     if not 0.0 <= alpha <= 0.5:
         raise ValueError(f"alpha must be in [0, 1/2], got {alpha}")
     if gamma_prime is None:
@@ -247,6 +252,4 @@ def speedup(
         raise ValueError("iteration counts must be >= 1")
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    if tau_delay < 0.0 or deg < 0:
-        raise ValueError("tau_delay and deg must be nonnegative")
-    return (t_single / t_dist) * (n * m / (m + tau_delay + deg))
+    return (t_single / t_dist) * (n * m / RuntimeModel(tau_delay, deg).iteration_time(m))

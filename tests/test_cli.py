@@ -1,11 +1,15 @@
 """The gossipgd command line: run, summarize, tune, spectrum."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from gossipgd.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG = """
 [problem]
@@ -121,10 +125,17 @@ def test_no_subcommand_is_usage_error():
 
 
 def test_console_script_is_installed():
+    # the script itself only exists after `pip install`; check that it points
+    # at cli.main and run that entry point the way `python -m gossipgd` does
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert 'gossipgd = "gossipgd.cli:main"' in scripts.splitlines()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        ["gossipgd", "tune", "--n", "1", "--m", "1024", "--r", "1",
+        [sys.executable, "-m", "gossipgd", "tune", "--n", "1", "--m", "1024", "--r", "1",
          "--gamma", "0.5", "--sigma2", "0", "--kappa-sq", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "t_stop = 17" in proc.stdout

@@ -273,3 +273,5 @@ def test_step_schedule():
         StepSchedule(0.0)
     with pytest.raises(ValueError):
         StepSchedule(0.1, theta=0.8)
+    with pytest.raises(ValueError):
+        StepSchedule(0.1, theta=0.75)  # the rates cover [0, 3/4) only

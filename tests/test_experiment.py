@@ -1,12 +1,15 @@
 """Config parsing, the sweep runner, CSV output, and summaries."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gossipgd import derive_seed, load_config, run_experiment, summarize, tune_plan
+from gossipgd import derive_seed, experiment, load_config, run_experiment, summarize, tune_plan
 from gossipgd.experiment import RUN_RECORD_COLUMNS, SCHEMA_VERSION
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 BASE_CONFIG = """
 [problem]
@@ -136,6 +139,9 @@ T_max = 10
     assert cfg.output == "results.csv"
 
 
+COMPLETE = "kind = complete\nweight_scheme = uniform_complete"
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -152,6 +158,14 @@ T_max = 10
         lambda t: t.replace("uniform_complete", "doubly_lazy"),
         lambda t: t.replace("d = 4", "d = 4.5"),
         lambda t: t.replace("m = 8 16", "m ="),
+        lambda t: t.replace("m = 8 16", "m = 8 0"),
+        lambda t: t.replace("r = 1.0", "r = 0.25"),
+        lambda t: t.replace("eta = 0.05", "eta = 0.05\ntheta = 0.9"),
+        lambda t: t.replace("eta = 0.05", "eta = 0.05\ntheta = 0.75"),
+        # graphs are built for every sweep n at load time
+        lambda t: t.replace(COMPLETE, "kind = cycle").replace("n = 4 8", "n = 2 4"),
+        lambda t: t.replace(COMPLETE, "kind = grid2d"),  # n = 8 is not square
+        lambda t: t.replace(COMPLETE, "kind = random_regular\ndegree = 5"),  # degree >= n = 4
     ],
 )
 def test_load_config_rejects(tmp_path, mutate):
@@ -281,6 +295,33 @@ def test_divergence_is_recorded_not_raised(tmp_path):
     assert rows, "partial records must still be written"
     assert all(int(r["diverged_at"]) > 1 for r in rows)
     assert max(int(r["t"]) for r in rows) < 31
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_rate_sweep_demo_matches_golden_csv(tmp_path, threads):
+    cfg = load_config(DEMOS / "configs" / "rate_sweep.ini")
+    out = run_experiment(cfg, out_dir=tmp_path, threads=threads)
+    assert out.read_bytes() == (DEMOS / "output" / "rate_sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_sweep_keeps_previous_csv(tmp_path, monkeypatch, threads):
+    cfg = load_config(write_config(tmp_path))
+    previous = tmp_path / "results.csv"
+    previous.write_text("previous results\n")
+    run_one = experiment._run_one
+    last = (3, 8, 16, 2)  # (sweep_index, n, m, replicate) of the final job
+
+    def fail_last(cfg, sweep_index, n, m, replicate):
+        if (sweep_index, n, m, replicate) == last:
+            raise RuntimeError("job failed")
+        return run_one(cfg, sweep_index, n, m, replicate)
+
+    monkeypatch.setattr(experiment, "_run_one", fail_last)
+    with pytest.raises(RuntimeError, match="job failed"):
+        run_experiment(cfg, out_dir=tmp_path, threads=threads)
+    assert previous.read_text() == "previous results\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "results.csv"]
 
 
 def test_run_experiment_rejects_bad_threads(tmp_path):
