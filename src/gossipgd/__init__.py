@@ -39,7 +39,6 @@ from .problem import (
     AgentData,
     MomentCertificate,
     SpectralProblem,
-    agent_data_to_csv,
     effective_dimension,
     excess_risk,
     make_problem,
@@ -87,7 +86,6 @@ __all__ = [
     "Topology",
     "TrainState",
     "TuningPlan",
-    "agent_data_to_csv",
     "build_gossip_matrix",
     "build_topology",
     "bruteforce_network_error",

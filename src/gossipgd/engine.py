@@ -99,28 +99,13 @@ class AgentStats:
         return self.xy.shape[0]
 
     def gradients(self, W: np.ndarray) -> np.ndarray:
-        """Per-agent gradients at per-agent points W (n, d)."""
+        """Per-agent gradients (n, d) at per-agent points W (n, d) or one shared point W (d,)."""
         if self.mode == "diag":
             return self.cov_diag * W - self.xy
         if self.mode == "dense":
-            return np.einsum("nde,ne->nd", self.cov, W) - self.xy
+            return (self.cov @ W[..., None])[..., 0] - self.xy
         m = self.x.shape[1]
-        proj = np.einsum("nmd,nd->nm", self.x, W)
-        return np.einsum("nmd,nm->nd", self.x, proj) / m - self.xy
-
-    def gradients_at(self, w: np.ndarray) -> np.ndarray:
-        """Per-agent gradients at a common point w (d,)."""
-        if self.mode == "diag":
-            return self.cov_diag * w[None, :] - self.xy
-        if self.mode == "dense":
-            return np.einsum("nde,e->nd", self.cov, w) - self.xy
-        m = self.x.shape[1]
-        proj = np.einsum("nmd,d->nm", self.x, w)
-        return np.einsum("nmd,nm->nd", self.x, proj) / m - self.xy
-
-    def mean_gradient(self, w: np.ndarray) -> np.ndarray:
-        """Gradient of the pooled empirical risk (average over agents)."""
-        return self.gradients_at(w).mean(axis=0)
+        return (self.x.transpose(0, 2, 1) @ (self.x @ W[..., None]))[..., 0] / m - self.xy
 
 
 @dataclass
@@ -163,7 +148,7 @@ def dgd_step(
 
 def single_machine_step(pooled: np.ndarray, stats: AgentStats, eta: float) -> np.ndarray:
     """Gradient descent on all nm samples pooled into one machine."""
-    return pooled - eta * stats.mean_gradient(pooled)
+    return pooled - eta * stats.gradients(pooled).mean(axis=0)
 
 
 def population_step(population: np.ndarray, problem: SpectralProblem, eta: float) -> np.ndarray:
@@ -178,7 +163,7 @@ def noise_terms(population: np.ndarray, stats: AgentStats, problem: SpectralProb
     draw; they are the inputs the popcov accumulators integrate.
     """
     pop_grad = problem.tau * (population - problem.target)
-    return pop_grad[None, :] - stats.gradients_at(population)
+    return pop_grad[None, :] - stats.gradients(population)
 
 
 def run(

@@ -9,8 +9,10 @@ replicates never changes existing ones.
 
 from __future__ import annotations
 
+import ast
 import configparser
 import hashlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -29,6 +31,7 @@ from .topology import (
     build_gossip_matrix,
     build_topology,
     chebyshev_accelerate,
+    check_weight_scheme,
 )
 from .tuning import check_theta, tune_plan
 
@@ -82,8 +85,15 @@ def _parse_edges(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
 def _parse_eta(text: str) -> str | float:
-    return ETA_AUTO if text == ETA_AUTO else float(text)
+    return ETA_AUTO if text == ETA_AUTO else _finite(text)
 
 
 @dataclass(frozen=True)
@@ -95,10 +105,10 @@ class ExperimentConfig:
 
     # problem
     d: int = _key("problem", int, check=_at_least(1))
-    gamma: float = _key("problem", float, check=_rule(lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
-    r: float = _key("problem", float, check=_at_least(0.5))
-    R: float = _key("problem", float, 1.0, _rule(lambda v: v > 0.0, "positive"))
-    noise_sigma: float = _key("problem", float, 0.0, _at_least(0.0))
+    gamma: float = _key("problem", _finite, check=_rule(lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
+    r: float = _key("problem", _finite, check=_at_least(0.5))
+    R: float = _key("problem", _finite, 1.0, _rule(lambda v: v > 0.0, "positive"))
+    noise_sigma: float = _key("problem", _finite, 0.0, _at_least(0.0))
     sampler: str = _key("problem", str, "coordinate", _one_of(SAMPLERS))
     # topology: rows/cols, degree/seed and edges are checked by building every sweep n's graph
     kind: str = _key("topology", str, check=_one_of(TOPOLOGY_KINDS))
@@ -115,7 +125,7 @@ class ExperimentConfig:
         "sweep", _int_list, check=_rule(lambda ms: min(ms) >= 1, "all >= 1"), key="m"
     )
     # schedule: eta is either the token "auto" (tuned per sweep point) or a number
-    theta: float = _key("schedule", float, 0.0, check_theta)
+    theta: float = _key("schedule", _finite, 0.0, check_theta)
     eta: str | float = _key(
         "schedule", _parse_eta, check=_rule(lambda v: v == ETA_AUTO or v > 0.0, "positive or auto")
     )
@@ -213,7 +223,7 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError("[schedule] eta = auto requires theta = 0 (constant steps)")
     for n in cfg.sweep_n:
         try:
-            _build_graph(cfg, n)
+            check_weight_scheme(_build_graph(cfg, n), cfg.weight_scheme)
         except ValueError as exc:
             raise ValueError(f"[topology] kind = {cfg.kind} at sweep n = {n}: {exc}") from None
     return cfg
@@ -388,10 +398,18 @@ class SummaryTable:
         return "\n".join(out)
 
 
+# echoed config keys that fix which (sweep_index, replicate) blocks a CSV holds
+_BLOCK_KEYS = ("config.sweep.sweep_n", "config.sweep.sweep_m", "config.run.replicates")
+
+
 def _read_csv(path):
-    """Parse one results CSV to (schema_version, column names, row dicts)."""
-    version = None
+    """Parse one results CSV to (schema_version, column names, row dicts).
+
+    Raises ValueError if the file lacks a (sweep_index, replicate) block
+    that its echoed sweep axes and replicate count imply.
+    """
     header = None
+    echo = {}  # comment lines "# name = value"
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -399,18 +417,22 @@ def _read_csv(path):
             if not line:
                 continue
             if line.startswith("#"):
-                text = line[1:].strip()
-                if text.startswith("schema_version"):
-                    version = int(text.split("=")[1])
+                name, _, value = line[1:].partition("=")
+                echo[name.strip()] = value.strip()
                 continue
             cells = line.split(",")
             if header is None:
                 header = cells
                 continue
             rows.append(dict(zip(header, cells)))
-    if version is None or header is None:
-        raise ValueError(f"{path}: not a results CSV (missing schema comment or header)")
-    return version, header, rows
+    if header is None or not {"schema_version", *_BLOCK_KEYS} <= echo.keys():
+        raise ValueError(f"{path}: not a results CSV (missing schema, config echo or header)")
+    sweep_n, sweep_m, replicates = (ast.literal_eval(echo[key]) for key in _BLOCK_KEYS)
+    seen = {(row["sweep_index"], row["replicate"]) for row in rows}
+    for point, replicate in product(range(len(sweep_n) * len(sweep_m)), range(replicates)):
+        if (str(point), str(replicate)) not in seen:
+            raise ValueError(f"{path}: no rows for sweep_index {point}, replicate {replicate}")
+    return int(echo["schema_version"]), header, rows
 
 
 def _as_number(text: str):

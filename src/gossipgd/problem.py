@@ -9,6 +9,7 @@ risk instead of a held-out sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,8 @@ def make_problem(
     """
     if d < 1:
         raise ValueError("d must be >= 1")
+    if not all(map(math.isfinite, (gamma, r, R, noise_sigma))):
+        raise ValueError("gamma, r, R and noise_sigma must be finite")
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     if r < 0.5:
@@ -171,19 +174,3 @@ def sample_agent_data(
     if problem.noise_sigma > 0.0:
         y = y + problem.noise_sigma * rng.standard_normal(m)
     return AgentData(x=_freeze(x), y=_freeze(y), agent_id=agent_id)
-
-
-def agent_data_to_csv(datasets: list[AgentData], path) -> None:
-    """Flatten datasets to rows of (agent_id, sample, x_0..x_{d-1}, y)."""
-    if not datasets:
-        raise ValueError("need at least one dataset")
-    d = datasets[0].x.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = ["agent_id", "sample"] + [f"x_{j}" for j in range(d)] + ["y"]
-        fh.write(",".join(cols) + "\n")
-        for data in datasets:
-            for i in range(data.x.shape[0]):
-                row = [str(data.agent_id), str(i)]
-                row += [repr(float(v)) for v in data.x[i]]
-                row.append(repr(float(data.y[i])))
-                fh.write(",".join(row) + "\n")

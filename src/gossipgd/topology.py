@@ -231,6 +231,14 @@ def _row_degree(entries: np.ndarray) -> int:
     return int(np.max(np.count_nonzero(np.abs(entries) > 1e-12, axis=1)))
 
 
+def check_weight_scheme(graph: Graph, weight_scheme: str) -> None:
+    """Raise ValueError unless ``weight_scheme`` can weight ``graph``."""
+    if weight_scheme not in WEIGHT_SCHEMES:
+        raise ValueError(f"unknown weight scheme {weight_scheme!r}")
+    if weight_scheme == "uniform_complete" and len(graph.edges) != graph.n * (graph.n - 1) // 2:
+        raise ValueError("uniform_complete weights need the complete graph")
+
+
 def build_gossip_matrix(graph: Graph, weight_scheme: str = "metropolis_lazy") -> GossipMatrix:
     """Assign edge weights on ``graph`` and compute the spectrum.
 
@@ -240,14 +248,11 @@ def build_gossip_matrix(graph: Graph, weight_scheme: str = "metropolis_lazy") ->
     ``uniform_complete`` requires the complete graph and averages exactly;
     its spectrum {1, 0, ..., 0} is set analytically so sigma2 is 0.0 exact.
     """
-    if weight_scheme not in WEIGHT_SCHEMES:
-        raise ValueError(f"unknown weight scheme {weight_scheme!r}")
+    check_weight_scheme(graph, weight_scheme)
     n = graph.n
     P = np.zeros((n, n))
 
     if weight_scheme == "uniform_complete":
-        if len(graph.edges) != n * (n - 1) // 2:
-            raise ValueError("uniform_complete weights need the complete graph")
         P[:] = 1.0 / n
         eig = np.zeros(n)
         eig[0] = 1.0

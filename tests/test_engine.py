@@ -37,21 +37,25 @@ def hand_data(x_rows, y_vals, agent_id=0):
 def test_agent_stats_match_direct_computation(sampler, m):
     # m = 8 >= d exercises the dense path, m = 2 < d the streaming path,
     # coordinate data the diagonal path; all must agree with x^T(xw - y)/m
-    prob = make_problem(5, 0.5, 1.0, noise_sigma=0.4, sampler=sampler)
-    datasets = [sample_agent_data(prob, m, v, seed=31) for v in range(3)]
+    n, d = 3, 5
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.4, sampler=sampler)
+    datasets = [sample_agent_data(prob, m, v, seed=31) for v in range(n)]
     stats = AgentStats.from_data(datasets)
-    w = np.linspace(-1.0, 1.0, 5)
+    w = np.linspace(-1.0, 1.0, d)
     W = np.outer([1.0, -0.5, 2.0], w)
 
-    direct = np.stack(
-        [(d.x.T @ (d.x @ w - d.y)) / m for d in datasets]
-    )
-    assert np.allclose(stats.gradients_at(w), direct, atol=1e-13)
-    assert np.allclose(stats.mean_gradient(w), direct.mean(axis=0), atol=1e-13)
-    direct_rows = np.stack(
-        [(d.x.T @ (d.x @ Wv - d.y)) / m for d, Wv in zip(datasets, W)]
-    )
+    # a point shared by all agents, and its pooled (agent-averaged) gradient
+    direct = np.stack([(a.x.T @ (a.x @ w - a.y)) / m for a in datasets])
+    assert np.allclose(stats.gradients(w), direct, atol=1e-13)
+    pooled_x = np.concatenate([a.x for a in datasets])
+    pooled_y = np.concatenate([a.y for a in datasets])
+    pooled = pooled_x.T @ (pooled_x @ w - pooled_y) / (n * m)
+    assert np.allclose(stats.gradients(w).mean(axis=0), pooled, atol=1e-13)
+    # one point per agent
+    direct_rows = np.stack([(a.x.T @ (a.x @ Wv - a.y)) / m for a, Wv in zip(datasets, W)])
     assert np.allclose(stats.gradients(W), direct_rows, atol=1e-13)
+    # a shared point goes through the same formula as its per-agent copies
+    assert np.array_equal(stats.gradients(w), stats.gradients(np.broadcast_to(w, (n, d))))
 
 
 def test_agent_stats_mode_selection():

@@ -166,6 +166,13 @@ COMPLETE = "kind = complete\nweight_scheme = uniform_complete"
         lambda t: t.replace(COMPLETE, "kind = cycle").replace("n = 4 8", "n = 2 4"),
         lambda t: t.replace(COMPLETE, "kind = grid2d"),  # n = 8 is not square
         lambda t: t.replace(COMPLETE, "kind = random_regular\ndegree = 5"),  # degree >= n = 4
+        # uniform_complete weights need the complete graph at every sweep n
+        lambda t: t.replace("kind = complete", "kind = cycle"),
+        # float keys must be finite
+        lambda t: t.replace("r = 1.0", "r = 1.0\nR = inf"),
+        lambda t: t.replace("r = 1.0", "r = inf"),
+        lambda t: t.replace("eta = 0.05", "eta = inf"),
+        lambda t: t.replace("noise_sigma = 0.2", "noise_sigma = inf"),
     ],
 )
 def test_load_config_rejects(tmp_path, mutate):
@@ -387,6 +394,22 @@ def test_summarize_rejects_bad_requests(tmp_path):
     junk.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         summarize([junk])
+
+
+def test_summarize_rejects_missing_block(tmp_path):
+    cfg = load_config(write_config(tmp_path))
+    out = run_experiment(cfg, out_dir=tmp_path)
+    lines = out.read_text().splitlines(keepends=True)
+    header = next(ln for ln in lines if not ln.startswith("#")).rstrip("\n").split(",")
+    point, replicate = header.index("sweep_index"), header.index("replicate")
+
+    def in_block(line):
+        cells = line.split(",")
+        return len(cells) == len(header) and (cells[point], cells[replicate]) == ("2", "1")
+
+    out.write_text("".join(ln for ln in lines if not in_block(ln)))
+    with pytest.raises(ValueError, match="sweep_index 2, replicate 1"):
+        summarize([out])
 
 
 def test_summarize_rejects_mixed_schema(tmp_path):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gossipgd import (
-    agent_data_to_csv,
     effective_dimension,
     excess_risk,
     make_problem,
@@ -178,6 +177,8 @@ def test_sampled_arrays_are_frozen():
         dict(d=4, gamma=1.0, r=1.0, R=0.0),
         dict(d=4, gamma=1.0, r=1.0, noise_sigma=-0.1),
         dict(d=4, gamma=1.0, r=1.0, sampler="cauchy"),
+        dict(d=4, gamma=1.0, r=1.0, R=float("inf")),
+        dict(d=4, gamma=1.0, r=float("inf")),
     ],
 )
 def test_make_problem_rejects(kwargs):
@@ -189,20 +190,3 @@ def test_sample_rejects_empty():
     prob = make_problem(3, 1.0, 1.0)
     with pytest.raises(ValueError):
         sample_agent_data(prob, 0, agent_id=0, seed=1)
-
-
-# ------------------------------------------------------------------ io
-
-
-def test_agent_data_to_csv(tmp_path):
-    prob = make_problem(2, 1.0, 1.0, noise_sigma=0.3)
-    datasets = [sample_agent_data(prob, 3, agent_id=v, seed=5) for v in range(2)]
-    path = tmp_path / "data.csv"
-    agent_data_to_csv(datasets, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "agent_id,sample,x_0,x_1,y"
-    assert len(lines) == 1 + 6
-    cells = lines[1].split(",")
-    assert cells[0] == "0" and cells[1] == "0"
-    assert float(cells[2]) == datasets[0].x[0, 0]
-    assert float(cells[4]) == datasets[0].y[0]
