@@ -28,7 +28,6 @@ from .engine import (
 )
 from .experiment import (
     ExperimentConfig,
-    RunRecord,
     SummaryTable,
     derive_seed,
     load_config,
@@ -77,7 +76,6 @@ __all__ = [
     "Graph",
     "MomentCertificate",
     "RateTerms",
-    "RunRecord",
     "RunResult",
     "RuntimeModel",
     "SpectralProblem",

@@ -16,7 +16,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -138,36 +138,20 @@ class ExperimentConfig:
     output: str = _key("run", str, "results.csv")
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One recorded iteration of one run; field order is the CSV schema."""
+# the CSV column order: one line per recorded iteration of one run
+RUN_RECORD_COLUMNS = (
+    "sweep_index", "n", "m", "replicate",  # the job
+    "t", "excess_mean", "excess_max", "bias_sq", "sample_var",  # the recorded iteration
+    "network_err_mean", "network_err_max", "consensus_err",
+    "popcov_err_mean", "popcov_err_max", "residual_err_mean", "residual_err_max",
+    "eta", "theta", "t_stop", "t_star", "regime", "sigma2",  # the job's schedule and graph
+    "diverged_at",  # -1 when the run completed
+)
 
-    sweep_index: int
-    n: int
-    m: int
-    replicate: int
-    t: int
-    excess_mean: float
-    excess_max: float
-    bias_sq: float
-    sample_var: float
-    network_err_mean: float
-    network_err_max: float
-    consensus_err: float
-    popcov_err_mean: float
-    popcov_err_max: float
-    residual_err_mean: float
-    residual_err_max: float
-    eta: float
-    theta: float
-    t_stop: int
-    t_star: int
-    regime: str
-    sigma2: float
-    diverged_at: int  # -1 when the run completed
-
-
-RUN_RECORD_COLUMNS = tuple(f.name for f in dataclass_fields(RunRecord))
+# DecompositionRecord fields: scalars are CSV columns as they are, and each
+# per-agent array gives a <name>_mean and a <name>_max column
+_SCALARS = ("t", "bias_sq", "sample_var", "consensus_err")
+_PER_AGENT = ("excess", "network_err", "popcov_err", "residual_err")
 
 
 def derive_seed(master_seed: int, sweep_index: int, replicate: int) -> int:
@@ -259,7 +243,12 @@ def _build_gossip(cfg: ExperimentConfig, n: int):
 
 
 def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate: int):
-    """Execute one replicate and flatten its records to RunRecord rows."""
+    """Execute one replicate and format its records as CSV lines.
+
+    Per-job cells are formatted once; each per-agent field is reduced to its
+    mean and max over all records at once.  A diverged run keeps its partial
+    records; a run without records gives no lines.
+    """
     seed = derive_seed(cfg.master_seed, sweep_index, replicate)
     P = _build_gossip(cfg, n)
     problem = make_problem(cfg.d, cfg.gamma, cfg.r, cfg.R, cfg.noise_sigma, cfg.sampler)
@@ -288,36 +277,23 @@ def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate:
         records = err.records
         diverged_at = err.iteration
 
-    rows = []
-    for rec in records:
-        rows.append(
-            RunRecord(
-                sweep_index=sweep_index,
-                n=n,
-                m=m,
-                replicate=replicate,
-                t=rec.t,
-                excess_mean=float(rec.excess.mean()),
-                excess_max=float(rec.excess.max()),
-                bias_sq=rec.bias_sq,
-                sample_var=rec.sample_var,
-                network_err_mean=float(rec.network_err.mean()),
-                network_err_max=float(rec.network_err.max()),
-                consensus_err=rec.consensus_err,
-                popcov_err_mean=float(rec.popcov_err.mean()),
-                popcov_err_max=float(rec.popcov_err.max()),
-                residual_err_mean=float(rec.residual_err.mean()),
-                residual_err_max=float(rec.residual_err.max()),
-                eta=eta,
-                theta=cfg.theta,
-                t_stop=plan.t_stop,
-                t_star=plan.t_star,
-                regime=plan.regime,
-                sigma2=P.sigma2,
-                diverged_at=diverged_at,
-            )
-        )
-    return rows
+    if not records:
+        return []
+    fixed = dict(
+        sweep_index=sweep_index, n=n, m=m, replicate=replicate, eta=eta, theta=cfg.theta,
+        t_stop=plan.t_stop, t_star=plan.t_star, regime=plan.regime, sigma2=P.sigma2,
+        diverged_at=diverged_at,
+    )
+    columns = {c: [getattr(rec, c) for rec in records] for c in _SCALARS}
+    for name in _PER_AGENT:
+        stacked = np.stack([getattr(rec, name) for rec in records])
+        columns[f"{name}_mean"] = stacked.mean(axis=1).tolist()
+        columns[f"{name}_max"] = stacked.max(axis=1).tolist()
+    cells = [
+        repeat(_format_cell(fixed[c])) if c in fixed else map(_format_cell, columns[c])
+        for c in RUN_RECORD_COLUMNS
+    ]
+    return [",".join(row) + "\n" for row in zip(*cells)]
 
 
 def _format_cell(value) -> str:
@@ -358,11 +334,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", threads: int = 1) -> Path
                 fh.write(line + "\n")
             fh.write(",".join(RUN_RECORD_COLUMNS) + "\n")
             for block in blocks:
-                for row in block:
-                    fh.write(
-                        ",".join(_format_cell(getattr(row, c)) for c in RUN_RECORD_COLUMNS)
-                        + "\n"
-                    )
+                fh.writelines(block)
         os.replace(tmp_path, out_path)
     except BaseException:
         tmp_path.unlink(missing_ok=True)
@@ -398,21 +370,25 @@ class SummaryTable:
         return "\n".join(out)
 
 
-# echoed config keys that fix which (sweep_index, replicate) blocks a CSV holds
-_BLOCK_KEYS = ("config.sweep.sweep_n", "config.sweep.sweep_m", "config.run.replicates")
+# echoed config keys that fix which (sweep_index, replicate) blocks a CSV
+# holds and the t of each block's last row
+_BLOCK_KEYS = (
+    "config.sweep.sweep_n", "config.sweep.sweep_m", "config.run.replicates", "config.run.t_max"
+)
 
 
 def _read_csv(path):
     """Parse one results CSV to (schema_version, column names, row dicts).
 
-    Raises ValueError if the file lacks a (sweep_index, replicate) block
-    that its echoed sweep axes and replicate count imply.
+    Raises ValueError for a row whose cell count differs from the header's,
+    and for a (sweep_index, replicate) block that the echoed config implies
+    but that is missing or, unless it diverged, lost its last rows.
     """
     header = None
     echo = {}  # comment lines "# name = value"
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -423,15 +399,31 @@ def _read_csv(path):
             cells = line.split(",")
             if header is None:
                 header = cells
-                continue
-            rows.append(dict(zip(header, cells)))
-    if header is None or not {"schema_version", *_BLOCK_KEYS} <= echo.keys():
-        raise ValueError(f"{path}: not a results CSV (missing schema, config echo or header)")
-    sweep_n, sweep_m, replicates = (ast.literal_eval(echo[key]) for key in _BLOCK_KEYS)
-    seen = {(row["sweep_index"], row["replicate"]) for row in rows}
+            elif len(cells) != len(header):
+                raise ValueError(f"{path}: line {lineno} has {len(cells)} of {len(header)} cells")
+            else:
+                rows.append(dict(zip(header, cells)))
+    required = {"schema_version", "config.schedule.eta", *_BLOCK_KEYS}
+    columns = {"sweep_index", "replicate", "t", "t_stop", "diverged_at"}
+    if header is None or not required <= echo.keys() or not columns <= set(header):
+        raise ValueError(f"{path}: not a results CSV (missing schema, config echo or columns)")
+    sweep_n, sweep_m, replicates, t_max = (ast.literal_eval(echo[key]) for key in _BLOCK_KEYS)
+    auto = echo["config.schedule.eta"] == ETA_AUTO
+    last = {(row["sweep_index"], row["replicate"]): row for row in rows}
     for point, replicate in product(range(len(sweep_n) * len(sweep_m)), range(replicates)):
-        if (str(point), str(replicate)) not in seen:
-            raise ValueError(f"{path}: no rows for sweep_index {point}, replicate {replicate}")
+        block = f"sweep_index {point}, replicate {replicate}"
+        row = last.get((str(point), str(replicate)))
+        if row is None:
+            raise ValueError(f"{path}: no rows for {block}")
+        if row["diverged_at"].isdigit():
+            continue  # a diverged run stops early
+        # a complete run records its final state after its last update, at t = updates + 1
+        updates = min(t_max, int(row["t_stop"])) if auto else t_max
+        if (row["t"], row["diverged_at"]) != (str(updates + 1), "-1"):
+            raise ValueError(
+                f"{path}: {block} ends at t = {row['t']}, diverged_at = {row['diverged_at']!r};"
+                f" a complete run ends at t = {updates + 1}"
+            )
     return int(echo["schema_version"]), header, rows
 
 

@@ -396,7 +396,18 @@ def test_summarize_rejects_bad_requests(tmp_path):
         summarize([junk])
 
 
-def test_summarize_rejects_missing_block(tmp_path):
+# how each damaged file is rejected
+DAMAGE = {
+    "block": "no rows for sweep_index 2, replicate 1",
+    "last_row": "sweep_index 2, replicate 1 ends at t = 3,",
+    "short_line": r"line \d+ has \d+ of 23 cells",
+    "short_cell": "sweep_index 3, replicate 2 ends at t = 4, diverged_at = '-'",
+    "column": "not a results CSV",
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_summarize_rejects_missing_block(tmp_path, damage):
     cfg = load_config(write_config(tmp_path))
     out = run_experiment(cfg, out_dir=tmp_path)
     lines = out.read_text().splitlines(keepends=True)
@@ -407,9 +418,49 @@ def test_summarize_rejects_missing_block(tmp_path):
         cells = line.split(",")
         return len(cells) == len(header) and (cells[point], cells[replicate]) == ("2", "1")
 
-    out.write_text("".join(ln for ln in lines if not in_block(ln)))
-    with pytest.raises(ValueError, match="sweep_index 2, replicate 1"):
+    if damage == "block":
+        lines = [ln for ln in lines if not in_block(ln)]
+    elif damage == "last_row":
+        del lines[max(i for i, ln in enumerate(lines) if in_block(ln))]
+    elif damage == "short_line":
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]
+    elif damage == "short_cell":  # the final diverged_at cell "-1" loses its "1"
+        lines[-1] = lines[-1][:-2]
+    else:  # the header and every row lose the t_stop column
+        col = header.index("t_stop")
+        for i, ln in enumerate(lines):
+            if not ln.startswith("#"):
+                lines[i] = ",".join(c for j, c in enumerate(ln.split(",")) if j != col)
+    out.write_text("".join(lines))
+    with pytest.raises(ValueError, match=DAMAGE[damage]):
         summarize([out])
+
+
+def test_sweep_columns_reduce_each_record_in_dense_and_stream_mode(tmp_path, monkeypatch):
+    text = BASE_CONFIG.replace("d = 4", "d = 8\nsampler = gaussian")
+    text = text.replace("kind = complete\nweight_scheme = uniform_complete", "kind = cycle")
+    text = text.replace("n = 4 8", "n = 3 9").replace("m = 8 16", "m = 4 16")
+    text = text.replace("replicates = 3", "replicates = 1")
+    cfg = load_config(write_config(tmp_path, text))
+    run = experiment.engine.run
+    modes, records = [], []
+
+    def capture(problem, datasets, *args, **kwargs):
+        modes.append(experiment.engine.AgentStats.from_data(datasets).mode)
+        result = run(problem, datasets, *args, **kwargs)
+        records.extend(result.records)
+        return result
+
+    monkeypatch.setattr(experiment.engine, "run", capture)
+    rows = read_rows(run_experiment(cfg, out_dir=tmp_path))
+    assert modes == ["stream", "dense", "stream", "dense"]
+    assert len(rows) == len(records) == 4 * 4
+    for row, rec in zip(rows, records):
+        assert row["t"] == str(rec.t)
+        for name in ("excess", "network_err", "popcov_err", "residual_err"):
+            values = getattr(rec, name)
+            assert row[f"{name}_mean"] == repr(float(values.mean()))
+            assert row[f"{name}_max"] == repr(float(values.max()))
 
 
 def test_summarize_rejects_mixed_schema(tmp_path):

@@ -1,6 +1,7 @@
 """Graphs, gossip weights, spectra and Chebyshev acceleration."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from gossipgd import (
     gossip_matrix_to_csv,
     spectral_gap,
 )
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def edge_set(graph):
@@ -250,6 +253,12 @@ def test_gossip_matrix_csv_roundtrip(tmp_path):
     rows = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
     assert rows.shape == (5, 5)
     assert np.all(rows == P.entries)
+
+
+def test_cycle32_weights_demo_matches_golden_csv(tmp_path):
+    path = tmp_path / "cycle32_weights.csv"
+    gossip_matrix_to_csv(matrix("cycle", 32), path)
+    assert path.read_bytes() == (DEMOS / "output" / "cycle32_weights.csv").read_bytes()
 
 
 def test_gossip_matrix_is_frozen():
