@@ -85,11 +85,13 @@ class AgentStats:
         if len(shapes) != 1:
             raise ValueError(f"agents must hold equally shaped samples, got {shapes}")
         m, d = shapes.pop()
+        diag = _diag_moments(datasets, d)
+        if diag is not None:
+            xy, cov_diag = diag
+            return cls(xy=xy / m, mode="diag", cov_diag=cov_diag / m)
         xs = np.stack([data.x for data in datasets])
         ys = np.stack([data.y for data in datasets])
         xy = np.einsum("nmd,nm->nd", xs, ys) / m
-        if all(np.count_nonzero(data.x, axis=1).max(initial=0) <= 1 for data in datasets):
-            return cls(xy=xy, mode="diag", cov_diag=(xs * xs).sum(axis=1) / m)
         if m >= d:
             return cls(xy=xy, mode="dense", cov=np.einsum("nmd,nme->nde", xs, xs) / m)
         return cls(xy=xy, mode="stream", x=xs)
@@ -106,6 +108,27 @@ class AgentStats:
             return (self.cov @ W[..., None])[..., 0] - self.xy
         m = self.x.shape[1]
         return (self.x.transpose(0, 2, 1) @ (self.x @ W[..., None]))[..., 0] / m - self.xy
+
+
+def _diag_moments(datasets: list[AgentData], d: int):
+    """Sums of x*y and x*x per coordinate, agent by agent, or None.
+
+    Returns None as soon as an agent holds a row with two nonzeros.  Each
+    row adds its one nonzero to its own coordinate in row order; for d > 1
+    that is the order the stacked reductions over samples add them in, so
+    the sums are bit for bit those of the dense tensor without stacking it.
+    """
+    xy = np.empty((len(datasets), d))
+    cov_diag = np.empty((len(datasets), d))
+    for v, data in enumerate(datasets):
+        nonzero = data.x != 0.0
+        if np.count_nonzero(nonzero, axis=1).max(initial=0) > 1:
+            return None
+        picks = nonzero.argmax(axis=1)  # an all-zero row picks 0 with value 0
+        vals = data.x[np.arange(len(picks)), picks]
+        xy[v] = np.bincount(picks, vals * data.y, d)
+        cov_diag[v] = np.bincount(picks, vals * vals, d)
+    return xy, cov_diag
 
 
 @dataclass

@@ -258,7 +258,7 @@ def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate:
     else:
         eta, updates = float(cfg.eta), cfg.t_max
     sched = engine.StepSchedule(eta=eta, theta=cfg.theta)
-    stride = cfg.stride if cfg.stride > 0 else max(1, updates // 200)
+    stride = _record_stride(cfg.stride, updates)
     datasets = [sample_agent_data(problem, m, v, seed) for v in range(n)]
 
     diverged_at = -1
@@ -294,6 +294,11 @@ def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate:
         for c in RUN_RECORD_COLUMNS
     ]
     return [",".join(row) + "\n" for row in zip(*cells)]
+
+
+def _record_stride(stride: int, updates: int) -> int:
+    """Iterations between records; a stride of 0 means about 200 records per run."""
+    return stride if stride > 0 else max(1, updates // 200)
 
 
 def _format_cell(value) -> str:
@@ -373,7 +378,8 @@ class SummaryTable:
 # echoed config keys that fix which (sweep_index, replicate) blocks a CSV
 # holds and the t of each block's last row
 _BLOCK_KEYS = (
-    "config.sweep.sweep_n", "config.sweep.sweep_m", "config.run.replicates", "config.run.t_max"
+    "config.sweep.sweep_n", "config.sweep.sweep_m", "config.run.replicates", "config.run.t_max",
+    "config.run.stride",
 )
 
 
@@ -382,7 +388,10 @@ def _read_csv(path):
 
     Raises ValueError for a row whose cell count differs from the header's,
     and for a (sweep_index, replicate) block that the echoed config implies
-    but that is missing or, unless it diverged, lost its last rows.
+    but that is missing or lost its last rows: a complete block ends after
+    its last update, a diverged one at the last recorded t before it failed.
+    A run that diverged before its first record wrote no rows, so a file
+    holding one is rejected as missing that block.
     """
     header = None
     echo = {}  # comment lines "# name = value"
@@ -407,7 +416,9 @@ def _read_csv(path):
     columns = {"sweep_index", "replicate", "t", "t_stop", "diverged_at"}
     if header is None or not required <= echo.keys() or not columns <= set(header):
         raise ValueError(f"{path}: not a results CSV (missing schema, config echo or columns)")
-    sweep_n, sweep_m, replicates, t_max = (ast.literal_eval(echo[key]) for key in _BLOCK_KEYS)
+    sweep_n, sweep_m, replicates, t_max, stride = (
+        ast.literal_eval(echo[key]) for key in _BLOCK_KEYS
+    )
     auto = echo["config.schedule.eta"] == ETA_AUTO
     last = {(row["sweep_index"], row["replicate"]): row for row in rows}
     for point, replicate in product(range(len(sweep_n) * len(sweep_m)), range(replicates)):
@@ -415,10 +426,19 @@ def _read_csv(path):
         row = last.get((str(point), str(replicate)))
         if row is None:
             raise ValueError(f"{path}: no rows for {block}")
-        if row["diverged_at"].isdigit():
-            continue  # a diverged run stops early
-        # a complete run records its final state after its last update, at t = updates + 1
         updates = min(t_max, int(row["t_stop"])) if auto else t_max
+        if row["diverged_at"].isdigit():
+            # the update to t = diverged_at >= 2 failed; the last record is at the stride before it
+            diverged_at = int(row["diverged_at"])
+            every = _record_stride(stride, updates)
+            end = (diverged_at - 1) // every * every
+            if diverged_at < 2 or row["t"] != str(end):
+                raise ValueError(
+                    f"{path}: {block} diverged at {diverged_at} but ends at t = {row['t']};"
+                    f" a run diverged there ends at t = {end}"
+                )
+            continue
+        # a complete run records its final state after its last update, at t = updates + 1
         if (row["t"], row["diverged_at"]) != (str(updates + 1), "-1"):
             raise ValueError(
                 f"{path}: {block} ends at t = {row['t']}, diverged_at = {row['diverged_at']!r};"

@@ -166,11 +166,13 @@ def sample_agent_data(
     d = problem.d
     if problem.sampler == "coordinate":
         picks = rng.integers(0, d, size=m)
+        vals = np.sqrt(d * problem.tau[picks])
         x = np.zeros((m, d))
-        x[np.arange(m), picks] = np.sqrt(d * problem.tau[picks])
+        x[np.arange(m), picks] = vals
+        y = vals * problem.target[picks]  # x @ target without reading the zeros
     else:
         x = rng.standard_normal((m, d)) * np.sqrt(problem.tau)[None, :]
-    y = x @ problem.target
+        y = x @ problem.target
     if problem.noise_sigma > 0.0:
         y = y + problem.noise_sigma * rng.standard_normal(m)
     return AgentData(x=_freeze(x), y=_freeze(y), agent_id=agent_id)

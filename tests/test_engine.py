@@ -1,5 +1,6 @@
 """Lockstep iteration of the distributed, pooled and population processes."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -64,6 +65,77 @@ def test_agent_stats_mode_selection():
     assert AgentStats.from_data([sample_agent_data(coord, 6, 0, 1)]).mode == "diag"
     assert AgentStats.from_data([sample_agent_data(gauss, 6, 0, 1)]).mode == "dense"
     assert AgentStats.from_data([sample_agent_data(gauss, 2, 0, 1)]).mode == "stream"
+
+
+def stacked_moments(datasets):
+    """The (n, m, d) reductions that the diag statistics reproduce bit for bit."""
+    xs = np.stack([a.x for a in datasets])
+    ys = np.stack([a.y for a in datasets])
+    m = xs.shape[1]
+    return np.einsum("nmd,nm->nd", xs, ys) / m, (xs * xs).sum(axis=1) / m
+
+
+@pytest.mark.parametrize("d", [1, 5, 16, 512])
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
+def test_diag_stats_equal_stacked_reductions(d, noise_sigma):
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=noise_sigma)
+    datasets = [sample_agent_data(prob, 1000, v, seed=7) for v in range(3)]
+    stats = AgentStats.from_data(datasets)
+    if d > 1:
+        xy, cov_diag = stacked_moments(datasets)
+    else:  # one column per agent, each summed in row order
+        xy = np.array([[np.cumsum(a.x[:, 0] * a.y)[-1]] for a in datasets]) / 1000
+        cov_diag = np.array([[np.cumsum(a.x[:, 0] * a.x[:, 0])[-1]] for a in datasets]) / 1000
+    assert stats.mode == "diag"
+    assert np.array_equal(stats.xy, xy)
+    assert np.array_equal(stats.cov_diag, cov_diag)
+
+
+def test_diag_stats_on_negative_entries_and_zero_rows():
+    rng = np.random.default_rng(3)
+    m, d = 200, 6
+    datasets = []
+    for v in range(3):
+        x = np.zeros((m, d))
+        x[np.arange(m), rng.integers(0, d, m)] = rng.standard_normal(m)  # about half negative
+        x[::7] = 0.0  # rows without a nonzero
+        datasets.append(AgentData(x=x, y=rng.standard_normal(m), agent_id=v))
+    stats = AgentStats.from_data(datasets)
+    xy, cov_diag = stacked_moments(datasets)
+    assert stats.mode == "diag"
+    assert np.array_equal(stats.xy, xy)
+    assert np.array_equal(stats.cov_diag, cov_diag)
+
+
+@pytest.mark.parametrize("m,mode", [(8, "dense"), (3, "stream")])
+def test_one_two_coordinate_row_leaves_the_diag_path(m, mode):
+    prob = make_problem(5, 0.5, 1.0, noise_sigma=0.3)
+    datasets = [sample_agent_data(prob, m, v, seed=2) for v in range(3)]
+    x = datasets[-1].x.copy()
+    x[-1] = [1.0, -2.0, 0.0, 0.0, 0.0]  # only the last agent's last row
+    datasets[-1] = AgentData(x=x, y=datasets[-1].y, agent_id=2)
+    stats = AgentStats.from_data(datasets)
+    xs = np.stack([a.x for a in datasets])
+    assert stats.mode == mode
+    assert np.array_equal(stats.xy, stacked_moments(datasets)[0])
+    if mode == "dense":
+        assert np.array_equal(stats.cov, np.einsum("nmd,nme->nde", xs, xs) / m)
+    else:
+        assert np.array_equal(stats.x, xs)
+
+
+def test_diag_stats_never_stack_the_samples():
+    prob = make_problem(256, 0.5, 1.0, noise_sigma=0.5)
+    datasets = [sample_agent_data(prob, 4096, v, seed=9) for v in range(4)]
+    tracemalloc.start()
+    try:
+        stats = AgentStats.from_data(datasets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.mode == "diag"
+    # a stacked copy alone would take four times this
+    assert peak < datasets[0].x.nbytes
 
 
 def test_agent_stats_rejects_mismatched_shapes():

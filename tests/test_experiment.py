@@ -403,13 +403,26 @@ DAMAGE = {
     "short_line": r"line \d+ has \d+ of 23 cells",
     "short_cell": "sweep_index 3, replicate 2 ends at t = 4, diverged_at = '-'",
     "column": "not a results CSV",
+    "diverged_cell": "sweep_index 0, replicate 0 diverged at 1 but ends at t = 16",
+    "diverged_row": "sweep_index 0, replicate 0 diverged at 19 but ends at t = 12",
 }
+
+# one job whose update to t = 19 diverges, so at stride 4 its last row is t = 16
+DIVERGING_CONFIG = (
+    BASE_CONFIG.replace("eta = 0.05", "eta = 8.0").replace("T_max = 3", "T_max = 200")
+    .replace("n = 4 8", "n = 4").replace("m = 8 16", "m = 8")
+    .replace("replicates = 3", "replicates = 1").replace("stride = 1", "stride = 4")
+)
 
 
 @pytest.mark.parametrize("damage", DAMAGE)
 def test_summarize_rejects_missing_block(tmp_path, damage):
-    cfg = load_config(write_config(tmp_path))
+    diverging = damage.startswith("diverged")
+    cfg = load_config(write_config(tmp_path, DIVERGING_CONFIG if diverging else BASE_CONFIG))
     out = run_experiment(cfg, out_dir=tmp_path)
+    if diverging:
+        assert out.read_text().endswith(",19\n")
+        summarize([out])  # the undamaged file is read
     lines = out.read_text().splitlines(keepends=True)
     header = next(ln for ln in lines if not ln.startswith("#")).rstrip("\n").split(",")
     point, replicate = header.index("sweep_index"), header.index("replicate")
@@ -424,8 +437,10 @@ def test_summarize_rejects_missing_block(tmp_path, damage):
         del lines[max(i for i, ln in enumerate(lines) if in_block(ln))]
     elif damage == "short_line":
         lines[-1] = lines[-1][: len(lines[-1]) // 2]
-    elif damage == "short_cell":  # the final diverged_at cell "-1" loses its "1"
+    elif damage in ("short_cell", "diverged_cell"):  # the final "-1" or "19" loses its last digit
         lines[-1] = lines[-1][:-2]
+    elif damage == "diverged_row":
+        del lines[-1]
     else:  # the header and every row lose the t_stop column
         col = header.index("t_stop")
         for i, ln in enumerate(lines):

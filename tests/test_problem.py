@@ -101,16 +101,17 @@ def test_moment_certificate_values():
 
 
 def test_coordinate_sampler_structure():
-    prob = make_problem(4, 0.5, 1.0)
-    data = sample_agent_data(prob, 50, agent_id=0, seed=11)
-    assert data.x.shape == (50, 4)
-    nonzero = np.count_nonzero(data.x, axis=1)
-    assert np.all(nonzero == 1)
-    # each hit is sqrt(d tau_j) on its coordinate, and y is exact
-    magnitudes = np.sqrt(4.0 * prob.tau)
-    picks = data.x.argmax(axis=1)
-    assert np.all(data.x[np.arange(50), picks] == magnitudes[picks])
-    assert np.array_equal(data.y, data.x @ prob.target)
+    for d in (1, 4, 5, 16, 512):
+        prob = make_problem(d, 0.5, 1.0)
+        data = sample_agent_data(prob, 50, agent_id=0, seed=11)
+        assert data.x.shape == (50, d)
+        nonzero = np.count_nonzero(data.x, axis=1)
+        assert np.all(nonzero == 1)
+        # each hit is sqrt(d tau_j) on its coordinate, and y is exact
+        magnitudes = np.sqrt(d * prob.tau)
+        picks = data.x.argmax(axis=1)
+        assert np.all(data.x[np.arange(50), picks] == magnitudes[picks])
+        assert np.array_equal(data.y, data.x @ prob.target)
 
 
 def test_coordinate_sampler_law():
