@@ -204,10 +204,10 @@ def run(
     """Advance all processes in lockstep for T iterations.
 
     Iteration t is recorded (via :func:`gossipgd.diagnostics.decompose`)
-    whenever ``t % stride == 0``, plus always the final iteration.  The
-    returned records therefore end with the state at ``t = T``.  Raises
-    :class:`DivergenceError` (carrying partial records) if the local
-    iterates blow past ``DIVERGENCE_NORM``.
+    whenever ``t % stride == 0``, plus always the last state reached: the
+    records end at ``t = T``, or, if the update to ``t + 1`` sends the local
+    iterates past ``DIVERGENCE_NORM``, at ``t``, and :class:`DivergenceError`
+    is raised carrying them.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -260,6 +260,8 @@ def run(
         )
         new_local = dgd_step(state.local, stats, P.entries, eta_t, variant)
         if not np.all(np.isfinite(new_local)) or np.linalg.norm(new_local) > DIVERGENCE_NORM:
+            if t % stride != 0:
+                records.append(diagnostics.decompose(state, problem))
             raise DivergenceError(t + 1, records)
         state = TrainState(
             t=t + 1,

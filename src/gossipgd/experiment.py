@@ -247,7 +247,7 @@ def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate:
 
     Per-job cells are formatted once; each per-agent field is reduced to its
     mean and max over all records at once.  A diverged run keeps its partial
-    records; a run without records gives no lines.
+    records, which end at the last finite state.
     """
     seed = derive_seed(cfg.master_seed, sweep_index, replicate)
     P = _build_gossip(cfg, n)
@@ -258,7 +258,6 @@ def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate:
     else:
         eta, updates = float(cfg.eta), cfg.t_max
     sched = engine.StepSchedule(eta=eta, theta=cfg.theta)
-    stride = _record_stride(cfg.stride, updates)
     datasets = [sample_agent_data(problem, m, v, seed) for v in range(n)]
 
     diverged_at = -1
@@ -270,15 +269,13 @@ def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate:
             sched,
             updates + 1,
             variant=cfg.protocol,
-            stride=stride,
+            stride=cfg.stride or max(1, updates // 200),
         )
         records = result.records
     except engine.DivergenceError as err:
         records = err.records
         diverged_at = err.iteration
 
-    if not records:
-        return []
     fixed = dict(
         sweep_index=sweep_index, n=n, m=m, replicate=replicate, eta=eta, theta=cfg.theta,
         t_stop=plan.t_stop, t_star=plan.t_star, regime=plan.regime, sigma2=P.sigma2,
@@ -294,11 +291,6 @@ def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate:
         for c in RUN_RECORD_COLUMNS
     ]
     return [",".join(row) + "\n" for row in zip(*cells)]
-
-
-def _record_stride(stride: int, updates: int) -> int:
-    """Iterations between records; a stride of 0 means about 200 records per run."""
-    return stride if stride > 0 else max(1, updates // 200)
 
 
 def _format_cell(value) -> str:
@@ -376,26 +368,24 @@ class SummaryTable:
 
 
 # echoed config keys that fix which (sweep_index, replicate) blocks a CSV
-# holds and the t of each block's last row
+# holds and the t of each complete block's last row
 _BLOCK_KEYS = (
     "config.sweep.sweep_n", "config.sweep.sweep_m", "config.run.replicates", "config.run.t_max",
-    "config.run.stride",
 )
 
 
 def _read_csv(path):
-    """Parse one results CSV to (schema_version, column names, row dicts).
+    """Parse one results CSV to (schema_version, column names, last rows).
 
-    Raises ValueError for a row whose cell count differs from the header's,
-    and for a (sweep_index, replicate) block that the echoed config implies
-    but that is missing or lost its last rows: a complete block ends after
-    its last update, a diverged one at the last recorded t before it failed.
-    A run that diverged before its first record wrote no rows, so a file
-    holding one is rejected as missing that block.
+    The last rows are each (sweep_index, replicate) block's final row, in
+    sweep order.  Raises ValueError for a row whose cell count differs from
+    the header's, and for a block that the echoed config implies but that
+    is missing or lost its last rows: a complete block ends after its last
+    update, a diverged one at the last finite state, ``diverged_at - 1``.
     """
     header = None
     echo = {}  # comment lines "# name = value"
-    rows = []
+    last = {}  # (sweep_index, replicate) -> the block's last row so far
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -411,40 +401,38 @@ def _read_csv(path):
             elif len(cells) != len(header):
                 raise ValueError(f"{path}: line {lineno} has {len(cells)} of {len(header)} cells")
             else:
-                rows.append(dict(zip(header, cells)))
+                row = dict(zip(header, cells))
+                last[row.get("sweep_index"), row.get("replicate")] = row
     required = {"schema_version", "config.schedule.eta", *_BLOCK_KEYS}
     columns = {"sweep_index", "replicate", "t", "t_stop", "diverged_at"}
     if header is None or not required <= echo.keys() or not columns <= set(header):
         raise ValueError(f"{path}: not a results CSV (missing schema, config echo or columns)")
-    sweep_n, sweep_m, replicates, t_max, stride = (
-        ast.literal_eval(echo[key]) for key in _BLOCK_KEYS
-    )
+    sweep_n, sweep_m, replicates, t_max = (ast.literal_eval(echo[key]) for key in _BLOCK_KEYS)
     auto = echo["config.schedule.eta"] == ETA_AUTO
-    last = {(row["sweep_index"], row["replicate"]): row for row in rows}
+    finals = []
     for point, replicate in product(range(len(sweep_n) * len(sweep_m)), range(replicates)):
         block = f"sweep_index {point}, replicate {replicate}"
         row = last.get((str(point), str(replicate)))
         if row is None:
             raise ValueError(f"{path}: no rows for {block}")
-        updates = min(t_max, int(row["t_stop"])) if auto else t_max
+        finals.append(row)
         if row["diverged_at"].isdigit():
-            # the update to t = diverged_at >= 2 failed; the last record is at the stride before it
+            # the update to t = diverged_at >= 2 failed; the last row is the state before it
             diverged_at = int(row["diverged_at"])
-            every = _record_stride(stride, updates)
-            end = (diverged_at - 1) // every * every
-            if diverged_at < 2 or row["t"] != str(end):
+            if diverged_at < 2 or row["t"] != str(diverged_at - 1):
                 raise ValueError(
                     f"{path}: {block} diverged at {diverged_at} but ends at t = {row['t']};"
-                    f" a run diverged there ends at t = {end}"
+                    f" a run diverged there ends at t = {diverged_at - 1}"
                 )
             continue
         # a complete run records its final state after its last update, at t = updates + 1
+        updates = min(t_max, int(row["t_stop"])) if auto else t_max
         if (row["t"], row["diverged_at"]) != (str(updates + 1), "-1"):
             raise ValueError(
                 f"{path}: {block} ends at t = {row['t']}, diverged_at = {row['diverged_at']!r};"
                 f" a complete run ends at t = {updates + 1}"
             )
-    return int(echo["schema_version"]), header, rows
+    return int(echo["schema_version"]), header, finals
 
 
 def _as_number(text: str):
@@ -467,10 +455,10 @@ def summarize(paths, group_by=("n", "m"), slope_axis: str | None = None) -> Summ
     if slope_axis is not None and slope_axis not in ("nm", "m", "n"):
         raise ValueError("slope_axis must be one of 'nm', 'm', 'n'")
 
-    finals = {}
+    finals = []
     schema = None
     for path in paths:
-        version, header, rows = _read_csv(path)
+        version, header, last_rows = _read_csv(path)
         if schema is None:
             schema = version
         elif schema != version:
@@ -478,13 +466,10 @@ def summarize(paths, group_by=("n", "m"), slope_axis: str | None = None) -> Summ
         missing = [k for k in group_by if k not in header]
         if missing:
             raise ValueError(f"{path}: missing grouping columns {missing}")
-        for row in rows:
-            key = (str(path), row["sweep_index"], row["replicate"])
-            if key not in finals or int(row["t"]) > int(finals[key]["t"]):
-                finals[key] = row
+        finals.extend(last_rows)
 
     groups: dict[tuple, list[dict]] = {}
-    for row in finals.values():
+    for row in finals:
         key = tuple(_as_number(row[k]) for k in group_by)
         groups.setdefault(key, []).append(row)
 

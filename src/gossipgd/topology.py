@@ -51,7 +51,6 @@ class Graph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
     degrees: tuple[int, ...] = field(repr=False)
 
 
@@ -86,13 +85,7 @@ def _finish_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
         if len(reached) != n:
             raise ValueError(f"graph is disconnected ({len(reached)} of {n} nodes reached)")
 
-    canon = tuple(sorted(seen))
-    return Graph(
-        n=n,
-        edges=canon,
-        neighbors=tuple(tuple(sorted(a)) for a in adj),
-        degrees=tuple(len(a) for a in adj),
-    )
+    return Graph(n=n, edges=tuple(sorted(seen)), degrees=tuple(len(a) for a in adj))
 
 
 def build_topology(top: Topology) -> Graph:
@@ -227,8 +220,21 @@ class GossipMatrix:
     chebyshev_k: int = 0
 
 
-def _row_degree(entries: np.ndarray) -> int:
-    return int(np.max(np.count_nonzero(np.abs(entries) > 1e-12, axis=1)))
+def _gossip_matrix(
+    P: np.ndarray, weight_scheme: str, eig: np.ndarray, chebyshev_k: int = 0
+) -> GossipMatrix:
+    """Freeze weights P and their descending spectrum eig into a GossipMatrix."""
+    n = P.shape[0]
+    return GossipMatrix(
+        n=n,
+        entries=_freeze(P),
+        weight_scheme=weight_scheme,
+        eigenvalues=_freeze(eig),
+        sigma2=float(max(abs(eig[1]), abs(eig[-1]))) if n > 1 else 0.0,
+        degree=int(np.max(np.count_nonzero(np.abs(P) > 1e-12, axis=1))),
+        nonnegative=bool(P.min() >= 0.0),
+        chebyshev_k=chebyshev_k,
+    )
 
 
 def check_weight_scheme(graph: Graph, weight_scheme: str) -> None:
@@ -256,15 +262,7 @@ def build_gossip_matrix(graph: Graph, weight_scheme: str = "metropolis_lazy") ->
         P[:] = 1.0 / n
         eig = np.zeros(n)
         eig[0] = 1.0
-        return GossipMatrix(
-            n=n,
-            entries=_freeze(P),
-            weight_scheme=weight_scheme,
-            eigenvalues=_freeze(eig),
-            sigma2=0.0,
-            degree=n,
-            nonnegative=True,
-        )
+        return _gossip_matrix(P, weight_scheme, eig)
 
     if weight_scheme == "metropolis_lazy":
         for v, w in graph.edges:
@@ -281,16 +279,7 @@ def build_gossip_matrix(graph: Graph, weight_scheme: str = "metropolis_lazy") ->
     eig = np.linalg.eigvalsh(P)[::-1]
     assert abs(eig[0] - 1.0) < 1e-10, "doubly stochastic matrix must have eigenvalue 1"
     assert eig[-1] > -1.0, "gossip matrix must not be periodic"
-    sigma2 = float(max(abs(eig[1]), abs(eig[-1]))) if n > 1 else 0.0
-    return GossipMatrix(
-        n=n,
-        entries=_freeze(P),
-        weight_scheme=weight_scheme,
-        eigenvalues=_freeze(eig),
-        sigma2=sigma2,
-        degree=_row_degree(P),
-        nonnegative=True,
-    )
+    return _gossip_matrix(P, weight_scheme, eig)
 
 
 def spectral_gap(P: GossipMatrix) -> float:
@@ -332,18 +321,7 @@ def chebyshev_accelerate(P: GossipMatrix, k: int) -> GossipMatrix:
     row_err = np.max(np.abs(Pk.sum(axis=1) - 1.0))
     assert row_err < 1e-10, f"accelerated rows drifted from stochastic by {row_err:.2e}"
 
-    eig = np.linalg.eigvalsh(Pk)[::-1]
-    sigma2 = float(max(abs(eig[1]), abs(eig[-1]))) if P.n > 1 else 0.0
-    return GossipMatrix(
-        n=P.n,
-        entries=_freeze(Pk),
-        weight_scheme=P.weight_scheme,
-        eigenvalues=_freeze(eig),
-        sigma2=sigma2,
-        degree=_row_degree(Pk),
-        nonnegative=bool(Pk.min() >= 0.0),
-        chebyshev_k=k,
-    )
+    return _gossip_matrix(Pk, P.weight_scheme, np.linalg.eigvalsh(Pk)[::-1], k)
 
 
 def gossip_matrix_to_csv(P: GossipMatrix, path) -> None:

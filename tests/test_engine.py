@@ -1,5 +1,6 @@
 """Lockstep iteration of the distributed, pooled and population processes."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -274,6 +275,45 @@ def test_record_stride_semantics():
 
     ragged = run(prob, datasets, P, sched, T=7, stride=3)
     assert [rec.t for rec in ragged.records] == [3, 6, 7]
+
+
+def assert_same_bits(rec, ref):
+    for f in dataclasses.fields(rec):
+        got, want = getattr(rec, f.name), getattr(ref, f.name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+
+
+# (sampler, m, eta that diverges within 200 updates) on a 6-cycle with d = 16:
+# diag, dense and stream statistics
+STRIDE_MODES = [("coordinate", 32, 2.0), ("gaussian", 32, 3.0), ("gaussian", 8, 3.0)]
+
+
+@pytest.mark.parametrize("sampler,m,diverging_eta", STRIDE_MODES)
+def test_stride_records_equal_stride_one_records(sampler, m, diverging_eta):
+    prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
+    datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(6)]
+    P = matrix("cycle", 6)
+
+    every = run(prob, datasets, P, StepSchedule(0.05), T=60).records
+    spaced = run(prob, datasets, P, StepSchedule(0.05), T=60, stride=7).records
+    assert [rec.t for rec in spaced] == list(range(7, 57, 7)) + [60]
+    for rec in spaced:
+        assert_same_bits(rec, every[rec.t - 1])
+
+    # a diverged run's records end at the last finite state, whatever the stride
+    errors = []
+    for stride in (1, 7):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(DivergenceError) as info:
+                run(prob, datasets, P, StepSchedule(diverging_eta), T=200, stride=stride)
+        errors.append(info.value)
+    every, spaced = errors
+    last = every.iteration - 1
+    assert spaced.iteration == every.iteration and last % 7 != 0
+    assert [rec.t for rec in spaced.records] == list(range(7, last, 7)) + [last]
+    for rec in spaced.records:
+        assert_same_bits(rec, every.records[rec.t - 1])
 
 
 def test_observer_sees_every_state():

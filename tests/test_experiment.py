@@ -403,25 +403,33 @@ DAMAGE = {
     "short_line": r"line \d+ has \d+ of 23 cells",
     "short_cell": "sweep_index 3, replicate 2 ends at t = 4, diverged_at = '-'",
     "column": "not a results CSV",
-    "diverged_cell": "sweep_index 0, replicate 0 diverged at 1 but ends at t = 16",
-    "diverged_row": "sweep_index 0, replicate 0 diverged at 19 but ends at t = 12",
+    "diverged_cell": "sweep_index 0, replicate 0 diverged at 1 but ends at t = 18",
+    "diverged_row": "sweep_index 0, replicate 0 diverged at 19 but ends at t = 16",
+    "diverged_early": "no rows for sweep_index 0, replicate 0",
 }
 
-# one job whose update to t = 19 diverges, so at stride 4 its last row is t = 16
+# one job whose update to t = 19 diverges, so at stride 4 its rows end at t = 16 and 18
 DIVERGING_CONFIG = (
     BASE_CONFIG.replace("eta = 0.05", "eta = 8.0").replace("T_max = 3", "T_max = 200")
     .replace("n = 4 8", "n = 4").replace("m = 8 16", "m = 8")
     .replace("replicates = 3", "replicates = 1").replace("stride = 1", "stride = 4")
 )
 
+# one job whose update to t = 3 diverges before its first stride-4 record
+EARLY_DIVERGING_CONFIG = (
+    DIVERGING_CONFIG.replace("eta = 8.0", "eta = 1e6").replace("d = 4", "d = 8")
+    .replace(COMPLETE, "kind = cycle")
+)
+
 
 @pytest.mark.parametrize("damage", DAMAGE)
 def test_summarize_rejects_missing_block(tmp_path, damage):
-    diverging = damage.startswith("diverged")
-    cfg = load_config(write_config(tmp_path, DIVERGING_CONFIG if diverging else BASE_CONFIG))
-    out = run_experiment(cfg, out_dir=tmp_path)
+    diverging, early = damage.startswith("diverged"), damage == "diverged_early"
+    text = EARLY_DIVERGING_CONFIG if early else DIVERGING_CONFIG if diverging else BASE_CONFIG
+    out = run_experiment(load_config(write_config(tmp_path, text)), out_dir=tmp_path)
     if diverging:
-        assert out.read_text().endswith(",19\n")
+        ends = [(r["t"], r["diverged_at"]) for r in read_rows(out)][-2:]
+        assert ends == ([("2", "3")] if early else [("16", "19"), ("18", "19")])
         summarize([out])  # the undamaged file is read
     lines = out.read_text().splitlines(keepends=True)
     header = next(ln for ln in lines if not ln.startswith("#")).rstrip("\n").split(",")
@@ -439,7 +447,7 @@ def test_summarize_rejects_missing_block(tmp_path, damage):
         lines[-1] = lines[-1][: len(lines[-1]) // 2]
     elif damage in ("short_cell", "diverged_cell"):  # the final "-1" or "19" loses its last digit
         lines[-1] = lines[-1][:-2]
-    elif damage == "diverged_row":
+    elif damage in ("diverged_row", "diverged_early"):
         del lines[-1]
     else:  # the header and every row lose the t_stop column
         col = header.index("t_stop")
