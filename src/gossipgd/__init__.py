@@ -36,6 +36,7 @@ from .experiment import (
 )
 from .problem import (
     AgentData,
+    CoordinateData,
     MomentCertificate,
     SpectralProblem,
     effective_dimension,
@@ -69,6 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentData",
     "AgentStats",
+    "CoordinateData",
     "DecompositionRecord",
     "DivergenceError",
     "ExperimentConfig",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import AgentData, SpectralProblem
+from .problem import AgentData, CoordinateData, SpectralProblem
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,10 @@ def _local_noise_history(datasets, etas, problem, t):
     ops = []
     xys = []
     for data in datasets:
-        m = data.x.shape[0]
-        ops.append(data.x.T @ data.x / m)
-        xys.append(data.x.T @ data.y / m)
+        x = data.x  # built anew on each access for coordinate samples
+        m = x.shape[0]
+        ops.append(x.T @ x / m)
+        xys.append(x.T @ data.y / m)
     pop = np.zeros(problem.d)
     noise = []
     for k in range(1, t + 1):
@@ -117,7 +118,7 @@ def _local_noise_history(datasets, etas, problem, t):
 
 
 def bruteforce_network_error(
-    datasets: list[AgentData],
+    datasets: list[AgentData | CoordinateData],
     P_entries: np.ndarray,
     etas,
     problem: SpectralProblem,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics
-from .problem import AgentData, SpectralProblem
+from .problem import AgentData, CoordinateData, SpectralProblem
 from .topology import GossipMatrix
 from .tuning import check_theta
 
@@ -69,6 +69,8 @@ class AgentStats:
     cross-moment.  ``C_v`` is kept as an exact diagonal when every sample
     touches a single coordinate, as a dense matrix when m >= d, and
     implicitly (re-multiplying through the sample matrix) when d > m.
+    :class:`~gossipgd.problem.CoordinateData` is reduced from its picks and
+    values; only the dense and stream modes read the sample matrix.
     """
 
     xy: np.ndarray = field(repr=False)  # (n, d)
@@ -78,13 +80,18 @@ class AgentStats:
     x: np.ndarray | None = field(default=None, repr=False)  # (n, m, d)
 
     @classmethod
-    def from_data(cls, datasets: list[AgentData]) -> "AgentStats":
+    def from_data(cls, datasets: list[AgentData | CoordinateData]) -> "AgentStats":
         if not datasets:
             raise ValueError("need at least one agent")
-        shapes = {data.x.shape for data in datasets}
+        shapes = {_sample_shape(data) for data in datasets}
         if len(shapes) != 1:
             raise ValueError(f"agents must hold equally shaped samples, got {shapes}")
         m, d = shapes.pop()
+        for data in datasets:
+            if np.shape(data.y) != (m,):
+                raise ValueError(
+                    f"agent {data.agent_id} holds {m} samples but y has shape {np.shape(data.y)}"
+                )
         diag = _diag_moments(datasets, d)
         if diag is not None:
             xy, cov_diag = diag
@@ -110,22 +117,41 @@ class AgentStats:
         return (self.x.transpose(0, 2, 1) @ (self.x @ W[..., None]))[..., 0] / m - self.xy
 
 
-def _diag_moments(datasets: list[AgentData], d: int):
+def _sample_shape(data: AgentData | CoordinateData) -> tuple[int, int]:
+    if isinstance(data, CoordinateData):
+        return data.picks.size, data.d
+    if np.ndim(data.x) != 2:
+        raise ValueError(f"agent {data.agent_id} holds x of shape {np.shape(data.x)}, not (m, d)")
+    return data.x.shape
+
+
+def _coordinates(data: AgentData | CoordinateData):
+    """An agent's rows as (picks, vals), one nonzero each, or None if a row has two."""
+    if isinstance(data, CoordinateData):
+        return data.picks, data.vals
+    x = data.x
+    nonzero = x != 0.0
+    if np.count_nonzero(nonzero, axis=1).max(initial=0) > 1:
+        return None
+    picks = nonzero.argmax(axis=1)  # an all-zero row picks 0 with value 0
+    return picks, x[np.arange(len(picks)), picks]
+
+
+def _diag_moments(datasets: list[AgentData | CoordinateData], d: int):
     """Sums of x*y and x*x per coordinate, agent by agent, or None.
 
     Returns None as soon as an agent holds a row with two nonzeros.  Each
     row adds its one nonzero to its own coordinate in row order; for d > 1
     that is the order the stacked reductions over samples add them in, so
-    the sums are bit for bit those of the dense tensor without stacking it.
+    the sums are bit for bit those of the dense tensor without building it.
     """
     xy = np.empty((len(datasets), d))
     cov_diag = np.empty((len(datasets), d))
     for v, data in enumerate(datasets):
-        nonzero = data.x != 0.0
-        if np.count_nonzero(nonzero, axis=1).max(initial=0) > 1:
+        coords = _coordinates(data)
+        if coords is None:
             return None
-        picks = nonzero.argmax(axis=1)  # an all-zero row picks 0 with value 0
-        vals = data.x[np.arange(len(picks)), picks]
+        picks, vals = coords
         xy[v] = np.bincount(picks, vals * data.y, d)
         cov_diag[v] = np.bincount(picks, vals * vals, d)
     return xy, cov_diag
@@ -191,7 +217,7 @@ def noise_terms(population: np.ndarray, stats: AgentStats, problem: SpectralProb
 
 def run(
     problem: SpectralProblem,
-    datasets: list[AgentData],
+    datasets: list[AgentData | CoordinateData],
     P: GossipMatrix,
     sched: StepSchedule,
     T: int,

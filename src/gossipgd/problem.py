@@ -43,6 +43,27 @@ class AgentData:
 
 
 @dataclass(frozen=True)
+class CoordinateData:
+    """One agent's coordinate sample as drawn.
+
+    Row i of x is ``vals[i]`` at coordinate ``picks[i]`` and zero elsewhere.
+    """
+
+    picks: np.ndarray
+    vals: np.ndarray
+    y: np.ndarray
+    d: int
+    agent_id: int
+
+    @property
+    def x(self) -> np.ndarray:
+        """The dense (m, d) sample matrix, built anew (m * d * 8 bytes) on each access."""
+        x = np.zeros((self.picks.size, self.d))
+        x[np.arange(self.picks.size), self.picks] = self.vals
+        return _freeze(x)
+
+
+@dataclass(frozen=True)
 class MomentCertificate:
     """Constants (M, nu) with E[y^(2l) | x] <= nu * l! * M^l for all l >= 1."""
 
@@ -153,12 +174,13 @@ def moment_certificate(problem: SpectralProblem) -> MomentCertificate:
 
 def sample_agent_data(
     problem: SpectralProblem, m: int, agent_id: int, seed: int
-) -> AgentData:
+) -> AgentData | CoordinateData:
     """Draw one agent's local dataset from its own RNG stream.
 
     The stream is keyed by (seed, agent_id), so agents are independent and
     any one agent's data is reproduced exactly regardless of how many
-    other agents are sampled.
+    other agents are sampled.  The coordinate sampler returns its draw as
+    :class:`CoordinateData` and never allocates the m x d matrix.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -167,12 +189,15 @@ def sample_agent_data(
     if problem.sampler == "coordinate":
         picks = rng.integers(0, d, size=m)
         vals = np.sqrt(d * problem.tau[picks])
-        x = np.zeros((m, d))
-        x[np.arange(m), picks] = vals
-        y = vals * problem.target[picks]  # x @ target without reading the zeros
-    else:
-        x = rng.standard_normal((m, d)) * np.sqrt(problem.tau)[None, :]
-        y = x @ problem.target
+        y = _add_noise(problem, rng, vals * problem.target[picks])  # x @ target
+        return CoordinateData(_freeze(picks), _freeze(vals), y, d, agent_id)
+    x = rng.standard_normal((m, d)) * np.sqrt(problem.tau)[None, :]
+    y = _add_noise(problem, rng, x @ problem.target)
+    return AgentData(x=_freeze(x), y=y, agent_id=agent_id)
+
+
+def _add_noise(problem: SpectralProblem, rng: np.random.Generator, y: np.ndarray) -> np.ndarray:
+    """Frozen responses, with the noise drawn after the inputs from the same stream."""
     if problem.noise_sigma > 0.0:
-        y = y + problem.noise_sigma * rng.standard_normal(m)
-    return AgentData(x=_freeze(x), y=_freeze(y), agent_id=agent_id)
+        y = y + problem.noise_sigma * rng.standard_normal(y.size)
+    return _freeze(y)

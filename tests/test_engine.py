@@ -9,6 +9,7 @@ import pytest
 
 from gossipgd import (
     AgentData,
+    CoordinateData,
     DivergenceError,
     StepSchedule,
     Topology,
@@ -90,6 +91,12 @@ def test_diag_stats_equal_stacked_reductions(d, noise_sigma):
     assert stats.mode == "diag"
     assert np.array_equal(stats.xy, xy)
     assert np.array_equal(stats.cov_diag, cov_diag)
+    # the sampler's (picks, vals) give the bits of its dense rows
+    assert all(isinstance(a, CoordinateData) for a in datasets)
+    dense = AgentStats.from_data([AgentData(x=a.x, y=a.y, agent_id=a.agent_id) for a in datasets])
+    assert dense.mode == "diag"
+    assert np.array_equal(stats.xy, dense.xy)
+    assert np.array_equal(stats.cov_diag, dense.cov_diag)
 
 
 def test_diag_stats_on_negative_entries_and_zero_rows():
@@ -126,8 +133,12 @@ def test_one_two_coordinate_row_leaves_the_diag_path(m, mode):
 
 
 def test_diag_stats_never_stack_the_samples():
+    # dense one-hot rows, as a caller may build them by hand
     prob = make_problem(256, 0.5, 1.0, noise_sigma=0.5)
-    datasets = [sample_agent_data(prob, 4096, v, seed=9) for v in range(4)]
+    datasets = [
+        AgentData(x=a.x, y=a.y, agent_id=a.agent_id)
+        for a in (sample_agent_data(prob, 4096, v, seed=9) for v in range(4))
+    ]
     tracemalloc.start()
     try:
         stats = AgentStats.from_data(datasets)
@@ -139,6 +150,21 @@ def test_diag_stats_never_stack_the_samples():
     assert peak < datasets[0].x.nbytes
 
 
+def test_coordinate_sampling_never_builds_the_samples():
+    m, d = 16384, 512
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5)
+    tracemalloc.start()
+    try:
+        datasets = [sample_agent_data(prob, m, v, seed=9) for v in range(4)]
+        stats = AgentStats.from_data(datasets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.mode == "diag"
+    # one agent's dense x alone takes m * d * 8 bytes
+    assert peak < m * d * 8 / 8
+
+
 def test_agent_stats_rejects_mismatched_shapes():
     a = hand_data([[1.0, 0.0]], [1.0], 0)
     b = hand_data([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0], 1)
@@ -146,6 +172,17 @@ def test_agent_stats_rejects_mismatched_shapes():
         AgentStats.from_data([a, b])
     with pytest.raises(ValueError):
         AgentStats.from_data([])
+    # a y that does not hold one response per sample names its agent, on
+    # the diag (one-hot x) and the dense path alike
+    two_rows = [[1.0, 0.0], [0.0, 1.0]]
+    full_rows = [[1.0, 2.0], [3.0, 4.0]]
+    for rows in (two_rows, full_rows):
+        for y in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [[1.0], [2.0]]):
+            bad = AgentData(x=np.array(rows), y=np.array(y), agent_id=7)
+            with pytest.raises(ValueError, match="agent 7"):
+                AgentStats.from_data([hand_data(rows, [1.0, 2.0], 0), bad])
+    with pytest.raises(ValueError, match="agent 3"):
+        AgentStats.from_data([AgentData(x=np.ones(2), y=np.ones(2), agent_id=3)])
 
 
 # ------------------------------------------------------------ single steps
@@ -314,6 +351,36 @@ def test_stride_records_equal_stride_one_records(sampler, m, diverging_eta):
     assert [rec.t for rec in spaced.records] == list(range(7, last, 7)) + [last]
     for rec in spaced.records:
         assert_same_bits(rec, every.records[rec.t - 1])
+
+
+@pytest.mark.parametrize("sampler,m", [mode[:2] for mode in STRIDE_MODES])
+def test_one_agent_has_no_network_error(sampler, m):
+    prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
+    datasets = [sample_agent_data(prob, m, 0, seed=3)]
+    P = matrix("complete", 1, scheme="uniform_complete")
+    records = run(prob, datasets, P, StepSchedule(0.05), T=60).records
+    assert len(records) == 60
+    for rec in records:
+        assert np.all(rec.network_err == 0.0), rec.t
+
+
+SQUARED_ERRORS = ("excess", "bias_sq", "sample_var", "network_err", "popcov_err", "residual_err")
+
+
+@pytest.mark.parametrize("sampler,m", [mode[:2] for mode in STRIDE_MODES])
+def test_doubling_the_radius_scales_noiseless_errors_exactly(sampler, m):
+    # at zero noise every response, iterate and deviation scales with R, so
+    # the squared errors scale by exactly 4 and the consensus norm by 2
+    runs = []
+    for R in (1.0, 2.0):
+        prob = make_problem(16, 0.5, 1.0, R=R, sampler=sampler)
+        datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(6)]
+        runs.append(run(prob, datasets, matrix("cycle", 6), StepSchedule(0.05), T=60).records)
+    for one, two in zip(*runs):
+        assert two.t == one.t
+        for name in SQUARED_ERRORS:
+            assert np.array_equal(getattr(two, name), 4.0 * np.asarray(getattr(one, name))), name
+        assert two.consensus_err == 2.0 * one.consensus_err
 
 
 def test_observer_sees_every_state():

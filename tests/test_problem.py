@@ -1,5 +1,6 @@
 """Spectral regression problems, samplers, and the closed-form risk oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -112,6 +113,10 @@ def test_coordinate_sampler_structure():
         picks = data.x.argmax(axis=1)
         assert np.all(data.x[np.arange(50), picks] == magnitudes[picks])
         assert np.array_equal(data.y, data.x @ prob.target)
+        # the draw is kept as (picks, vals): the one nonzero of each row of x
+        assert np.array_equal(data.picks, picks)
+        assert np.array_equal(data.vals, data.x[np.arange(50), picks])
+        assert data.d == d and data.agent_id == 0
 
 
 def test_coordinate_sampler_law():
@@ -161,6 +166,11 @@ def test_sampled_arrays_are_frozen():
     data = sample_agent_data(prob, 5, agent_id=0, seed=1)
     with pytest.raises(ValueError):
         data.x[0, 0] = 9.0
+    for kept in (data.picks, data.vals, data.y):
+        with pytest.raises(ValueError):
+            kept[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.d = 4
     with pytest.raises(ValueError):
         prob.tau[0] = 2.0
 
