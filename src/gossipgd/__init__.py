@@ -10,6 +10,7 @@ experiment runner (:mod:`gossipgd.experiment`).
 
 from .diagnostics import (
     DecompositionRecord,
+    Records,
     bruteforce_network_error,
     decompose,
     fit_loglog_slope,
@@ -78,6 +79,7 @@ __all__ = [
     "Graph",
     "MomentCertificate",
     "RateTerms",
+    "Records",
     "RunResult",
     "RuntimeModel",
     "SpectralProblem",

@@ -12,7 +12,7 @@ residual coupling term.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,33 +41,82 @@ class DecompositionRecord:
         return 2.0 * self.bias_sq + 4.0 * self.sample_var + 4.0 * self.network_err
 
 
-def decompose(state, problem: SpectralProblem) -> DecompositionRecord:
-    """Score a :class:`~gossipgd.engine.TrainState` against the oracle."""
+@dataclass(frozen=True)
+class Records:
+    """Decomposition records as read-only columns, one row per recorded iteration.
+
+    ``t`` and the scalar fields are ``(R,)`` columns and the per-agent
+    fields ``(R, n)`` columns, named as in :class:`DecompositionRecord`.
+    ``len``, indexing and iteration give :class:`DecompositionRecord` rows
+    with Python scalars and per-agent views.
+    """
+
+    t: np.ndarray
+    excess: np.ndarray = field(repr=False)
+    bias_sq: np.ndarray = field(repr=False)
+    sample_var: np.ndarray = field(repr=False)
+    network_err: np.ndarray = field(repr=False)
+    consensus_err: np.ndarray = field(repr=False)
+    popcov_err: np.ndarray = field(repr=False)
+    residual_err: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.setflags(write=False)
+
+    @classmethod
+    def concat(cls, blocks: list["Records"]) -> "Records":
+        names = [f.name for f in fields(cls)]
+        return cls(**{name: np.concatenate([getattr(b, name) for b in blocks]) for name in names})
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i: int) -> DecompositionRecord:
+        return DecompositionRecord(
+            **{name: col[i] if col.ndim == 2 else col.item(i) for name, col in vars(self).items()}
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def decompose(states, problem: SpectralProblem) -> Records:
+    """Score a non-empty block of :class:`~gossipgd.engine.TrainState` against the oracle.
+
+    Row r scores ``states[r]``, bit for bit as a block of that state alone:
+    the per-agent fields are one matrix-vector product per state and
+    ``bias_sq`` and ``sample_var`` one ``np.dot`` per state.
+    """
     tau = problem.tau
     target = problem.target
+    local = np.stack([s.local for s in states])  # (R, n, d)
+    pooled = np.stack([s.pooled for s in states])  # (R, d)
+    population = np.stack([s.population for s in states])
 
-    dev_target = state.local - target[None, :]
+    dev_target = local - target
     excess = (dev_target * dev_target) @ tau
 
-    gap_pop = state.population - target
-    bias_sq = float(np.dot(tau, gap_pop * gap_pop))
-    gap_pool = state.pooled - state.population
-    sample_var = float(np.dot(tau, gap_pool * gap_pool))
+    gap_pop = population - target
+    bias_sq = np.array([np.dot(tau, row) for row in gap_pop * gap_pop])
+    gap_pool = pooled - population
+    sample_var = np.array([np.dot(tau, row) for row in gap_pool * gap_pool])
 
-    dev = state.local - state.pooled[None, :]
+    dev = local - pooled[:, None, :]
     network_err = (dev * dev) @ tau
 
-    center = state.local.mean(axis=0)
-    off = state.local - center[None, :]
-    consensus_err = float(np.sqrt((off * off).sum(axis=1).max()))
+    center = local.mean(axis=1)
+    off = local - center[:, None, :]
+    consensus_err = np.sqrt((off * off).sum(axis=-1).max(axis=-1))
 
-    pvec = state.popcov_state - state.popcov_avg[None, :]
+    popcov_avg = np.stack([s.popcov_avg for s in states])
+    pvec = np.stack([s.popcov_state for s in states]) - popcov_avg[:, None, :]
     popcov_err = (pvec * pvec) @ tau
     rvec = dev - pvec
     residual_err = (rvec * rvec) @ tau
 
-    return DecompositionRecord(
-        t=state.t,
+    return Records(
+        t=np.array([s.t for s in states]),
         excess=excess,
         bias_sq=bias_sq,
         sample_var=sample_var,

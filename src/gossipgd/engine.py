@@ -28,14 +28,18 @@ PROTOCOL_VARIANTS = ("gossip_after_gradient", "gossip_before_gradient")
 
 DIVERGENCE_NORM = 1e12
 
+# recorded states are scored by diagnostics.decompose in blocks of at most
+# this many bytes of (n, d) local iterates (and at least one state)
+_BLOCK_BYTES = 32 * 1024
+
 
 class DivergenceError(RuntimeError):
-    """Iterates left the trust region; carries the failing iteration."""
+    """Iterates left the trust region; carries the failing iteration and the records."""
 
-    def __init__(self, iteration: int, records=None):
+    def __init__(self, iteration: int, records: diagnostics.Records):
         super().__init__(f"iterate norm exceeded {DIVERGENCE_NORM:.0e} at iteration {iteration}")
         self.iteration = iteration
-        self.records = records or []
+        self.records = records
 
 
 @dataclass(frozen=True)
@@ -171,7 +175,7 @@ class TrainState:
 
 @dataclass
 class RunResult:
-    records: list
+    records: diagnostics.Records
     final: TrainState
 
 
@@ -229,11 +233,13 @@ def run(
 ) -> RunResult:
     """Advance all processes in lockstep for T iterations.
 
-    Iteration t is recorded (via :func:`gossipgd.diagnostics.decompose`)
-    whenever ``t % stride == 0``, plus always the last state reached: the
-    records end at ``t = T``, or, if the update to ``t + 1`` sends the local
-    iterates past ``DIVERGENCE_NORM``, at ``t``, and :class:`DivergenceError`
-    is raised carrying them.
+    Iteration t is recorded whenever ``t % stride == 0``, plus always the
+    last state reached: the records end at ``t = T``, or, if the update to
+    ``t + 1`` sends the local iterates past ``DIVERGENCE_NORM`` (or to nan),
+    at ``t``, and :class:`DivergenceError` is raised carrying them.  The
+    recorded states are scored in blocks by
+    :func:`gossipgd.diagnostics.decompose`, whose rows do not depend on the
+    block, and returned as one columnar :class:`~gossipgd.diagnostics.Records`.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -271,12 +277,21 @@ def run(
         popcov_avg=np.zeros(d),
     )
 
-    records = []
+    block = max(1, _BLOCK_BYTES // local.nbytes)
+    blocks, pending = [], []  # scored Records, and recorded states not yet scored
+
+    def flush():
+        if pending:
+            blocks.append(diagnostics.decompose(pending, problem))
+            pending.clear()
+
     for t in range(1, T + 1):
         if observer is not None:
             observer(state)
         if t % stride == 0 or t == T:
-            records.append(diagnostics.decompose(state, problem))
+            pending.append(state)
+            if len(pending) == block:
+                flush()
         if t == T:
             break
         eta_t = sched.at(t)
@@ -285,10 +300,11 @@ def run(
             state.popcov_state, state.popcov_avg, noise, P.entries, problem.tau, eta_t
         )
         new_local = dgd_step(state.local, stats, P.entries, eta_t, variant)
-        if not np.all(np.isfinite(new_local)) or np.linalg.norm(new_local) > DIVERGENCE_NORM:
+        if not np.linalg.norm(new_local) <= DIVERGENCE_NORM:  # also true for nan
             if t % stride != 0:
-                records.append(diagnostics.decompose(state, problem))
-            raise DivergenceError(t + 1, records)
+                pending.append(state)
+            flush()
+            raise DivergenceError(t + 1, diagnostics.Records.concat(blocks))
         state = TrainState(
             t=t + 1,
             local=new_local,
@@ -297,4 +313,5 @@ def run(
             popcov_state=pc_state,
             popcov_avg=pc_avg,
         )
-    return RunResult(records=records, final=state)
+    flush()
+    return RunResult(records=diagnostics.Records.concat(blocks), final=state)

@@ -148,9 +148,9 @@ RUN_RECORD_COLUMNS = (
     "diverged_at",  # -1 when the run completed
 )
 
-# DecompositionRecord fields: scalars are CSV columns as they are, and each
-# per-agent array gives a <name>_mean and a <name>_max column
-_SCALARS = ("t", "bias_sq", "sample_var", "consensus_err")
+# Records columns: t and the float scalars are CSV columns as they are, and
+# each per-agent column gives a <name>_mean and a <name>_max column
+_SCALARS = ("bias_sq", "sample_var", "consensus_err")
 _PER_AGENT = ("excess", "network_err", "popcov_err", "residual_err")
 
 
@@ -245,9 +245,10 @@ def _build_gossip(cfg: ExperimentConfig, n: int):
 def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate: int):
     """Execute one replicate and format its records as CSV lines.
 
-    Per-job cells are formatted once; each per-agent field is reduced to its
-    mean and max over all records at once.  A diverged run keeps its partial
-    records, which end at the last finite state.
+    Per-job cells are formatted once; each record column is formatted in
+    one pass, after each per-agent column is reduced to its mean and max
+    over agents.  A diverged run keeps its partial records, which end at
+    the last finite state.
     """
     seed = derive_seed(cfg.master_seed, sweep_index, replicate)
     P = _build_gossip(cfg, n)
@@ -281,14 +282,16 @@ def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate:
         t_stop=plan.t_stop, t_star=plan.t_star, regime=plan.regime, sigma2=P.sigma2,
         diverged_at=diverged_at,
     )
-    columns = {c: [getattr(rec, c) for rec in records] for c in _SCALARS}
+    # float cells are the repr of Python floats, so columns go through tolist()
+    columns = {"t": map(str, records.t.tolist())}
+    for name in _SCALARS:
+        columns[name] = map(repr, getattr(records, name).tolist())
     for name in _PER_AGENT:
-        stacked = np.stack([getattr(rec, name) for rec in records])
-        columns[f"{name}_mean"] = stacked.mean(axis=1).tolist()
-        columns[f"{name}_max"] = stacked.max(axis=1).tolist()
+        column = getattr(records, name)
+        columns[f"{name}_mean"] = map(repr, column.mean(axis=1).tolist())
+        columns[f"{name}_max"] = map(repr, column.max(axis=1).tolist())
     cells = [
-        repeat(_format_cell(fixed[c])) if c in fixed else map(_format_cell, columns[c])
-        for c in RUN_RECORD_COLUMNS
+        repeat(_format_cell(fixed[c])) if c in fixed else columns[c] for c in RUN_RECORD_COLUMNS
     ]
     return [",".join(row) + "\n" for row in zip(*cells)]
 

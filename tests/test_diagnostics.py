@@ -15,7 +15,7 @@ from gossipgd import (
     run,
     sample_agent_data,
 )
-from gossipgd.diagnostics import decompose
+from gossipgd.diagnostics import Records, decompose
 from gossipgd.engine import TrainState
 
 
@@ -49,7 +49,7 @@ def test_decompose_matches_direct_formulas():
         popcov_state=pc_state,
         popcov_avg=pc_avg,
     )
-    rec = decompose(state, prob)
+    rec = decompose([state], prob)[0]  # a block of one state
     assert rec.t == 7
     for v in range(2):
         assert rec.excess[v] == pytest.approx(tau @ (local[v] - target) ** 2, rel=1e-15)
@@ -75,7 +75,7 @@ def test_decompose_zero_state():
         popcov_state=np.zeros((3, 4)),
         popcov_avg=np.zeros(4),
     )
-    rec = decompose(state, prob)
+    rec = decompose([state], prob)[0]  # a block of one state
     start_risk = float(prob.tau @ prob.target**2)
     assert rec.bias_sq == pytest.approx(start_risk, rel=1e-15)
     assert np.allclose(rec.excess, start_risk, rtol=1e-15)
@@ -84,6 +84,26 @@ def test_decompose_zero_state():
     assert np.all(rec.network_err == 0.0)
     assert np.all(rec.popcov_err == 0.0)
     assert np.all(rec.residual_err == 0.0)
+
+
+def test_records_are_read_only_columns_with_rows():
+    prob, data, P = small_instance(seed=1)
+    records = run(prob, data, P, StepSchedule(0.05), T=20, stride=3).records
+    assert records.t.tolist() == [3, 6, 9, 12, 15, 18, 20]
+    assert records.excess.shape == (7, 3) and records.bias_sq.shape == (7,)
+    assert len(records) == 7 and len(list(records)) == 7
+    last = records[-1]
+    assert type(last.t) is int and last.t == 20
+    for name in ("bias_sq", "sample_var", "consensus_err"):
+        assert type(getattr(last, name)) is float
+        assert getattr(last, name) == getattr(records, name)[-1]
+    assert np.array_equal(last.excess, records.excess[-1])
+    with pytest.raises(ValueError):
+        records.excess[0, 0] = 0.0
+    with pytest.raises(IndexError):
+        records[7]
+    both = Records.concat([records, records])
+    assert both.t.tolist() == records.t.tolist() * 2
 
 
 def test_risk_bound_combination():

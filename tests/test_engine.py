@@ -20,6 +20,8 @@ from gossipgd import (
     run,
     sample_agent_data,
 )
+from gossipgd import engine
+from gossipgd.diagnostics import decompose
 from gossipgd.engine import AgentStats
 
 
@@ -353,6 +355,36 @@ def test_stride_records_equal_stride_one_records(sampler, m, diverging_eta):
         assert_same_bits(rec, every.records[rec.t - 1])
 
 
+# (sampler, m, eta that diverges after more than one block of records)
+BLOCK_MODES = [("coordinate", 32, 1.5), ("gaussian", 32, 2.8), ("gaussian", 8, 2.2)]
+
+
+@pytest.mark.parametrize("sampler,m,diverging_eta", BLOCK_MODES)
+def test_block_records_equal_states_scored_alone(sampler, m, diverging_eta):
+    # records are scored in blocks; each row must be the block of its state alone
+    prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
+    datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(6)]
+    P = matrix("cycle", 6)
+    block = engine._BLOCK_BYTES // (6 * 16 * 8)
+
+    states = []
+    records = run(prob, datasets, P, StepSchedule(0.05), T=100, observer=states.append).records
+    assert len(records) == 100 and len(records) > block and len(records) % block != 0
+    for state, rec in zip(states, records, strict=True):
+        assert_same_bits(rec, decompose([state], prob)[0])
+
+    states = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DivergenceError) as info:
+            run(prob, datasets, P, StepSchedule(diverging_eta), T=400, observer=states.append)
+    records = info.value.records
+    assert len(records) > block and len(records) % block != 0  # diverged mid-block
+    assert [rec.t for rec in records] == list(range(1, info.value.iteration))
+    for state, rec in zip(states, records, strict=True):
+        assert_same_bits(rec, decompose([state], prob)[0])
+
+
 @pytest.mark.parametrize("sampler,m", [mode[:2] for mode in STRIDE_MODES])
 def test_one_agent_has_no_network_error(sampler, m):
     prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
@@ -381,6 +413,32 @@ def test_doubling_the_radius_scales_noiseless_errors_exactly(sampler, m):
         for name in SQUARED_ERRORS:
             assert np.array_equal(getattr(two, name), 4.0 * np.asarray(getattr(one, name))), name
         assert two.consensus_err == 2.0 * one.consensus_err
+
+
+@pytest.mark.parametrize("sampler,m", [mode[:2] for mode in STRIDE_MODES])
+def test_relabelling_agents_permutes_the_records(sampler, m):
+    # agent i of the relabelled run is agent perm[i] of the original; only the
+    # summation order over agents changes (P @ and the agent means), so the
+    # fields agree to rounding: the worst field measured 1e-13 of its maximum,
+    # excess 2e-15 relative
+    prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
+    datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(6)]
+    P = matrix("cycle", 6)
+    perm = np.array([3, 0, 5, 1, 4, 2])  # not an automorphism of the cycle
+    relabelled = dataclasses.replace(P, entries=P.entries[np.ix_(perm, perm)])
+    assert not np.array_equal(relabelled.entries, P.entries)
+
+    one = run(prob, datasets, P, StepSchedule(0.05), T=60).records
+    two = run(prob, [datasets[v] for v in perm], relabelled, StepSchedule(0.05), T=60).records
+    assert np.array_equal(two.t, one.t)
+    assert np.array_equal(two.bias_sq, one.bias_sq)  # the population path has no agents
+    for name in ("excess", "network_err", "popcov_err", "residual_err"):
+        want = getattr(one, name)[:, perm]
+        assert np.abs(getattr(two, name) - want).max() <= 1e-11 * np.abs(want).max(), name
+    assert np.allclose(two.excess, one.excess[:, perm], rtol=1e-14, atol=0.0)
+    for name in ("sample_var", "consensus_err"):
+        want = getattr(one, name)
+        assert np.abs(getattr(two, name) - want).max() <= 1e-11 * want.max(), name
 
 
 def test_observer_sees_every_state():
@@ -431,6 +489,22 @@ def test_divergence_raises_with_partial_records():
     err = info.value
     assert err.iteration > 1
     assert len(err.records) == err.iteration - 1  # stride 1 up to the blow-up
+
+
+@pytest.mark.parametrize("start", [np.nan, np.inf, 2e12])
+def test_nonfinite_or_huge_iterates_diverge_at_the_next_iteration(start):
+    # the first update from a nan, inf or huge start fails the norm test, so
+    # the run raises at iteration 2 and keeps the one record of the start
+    prob = make_problem(2, 1.0, 1.0)
+    datasets = [sample_agent_data(prob, 3, v, seed=1) for v in range(2)]
+    P = matrix("complete", 2)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        run(prob, datasets, P, StepSchedule(0.1), T=5, initial_local=np.full((2, 2), start))
+    assert info.value.iteration == 2
+    assert [rec.t for rec in info.value.records] == [1]
+    # a start of norm 0.5e12 stays under DIVERGENCE_NORM and runs through
+    result = run(prob, datasets, P, StepSchedule(0.1), T=5, initial_local=np.full((2, 2), 0.25e12))
+    assert [rec.t for rec in result.records] == [1, 2, 3, 4, 5]
 
 
 def test_large_step_warns_and_boundary_does_not():

@@ -311,6 +311,13 @@ def test_rate_sweep_demo_matches_golden_csv(tmp_path, threads):
     assert out.read_bytes() == (DEMOS / "output" / "rate_sweep.csv").read_bytes()
 
 
+def test_gaussian_cycle_demo_matches_golden_csv(tmp_path):
+    # gossip on a sparse graph, with dense (m = 32) and stream (m = 8) statistics
+    cfg = load_config(DEMOS / "configs" / "gaussian_cycle.ini")
+    out = run_experiment(cfg, out_dir=tmp_path)
+    assert out.read_bytes() == (DEMOS / "output" / "gaussian_cycle.csv").read_bytes()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_failed_sweep_keeps_previous_csv(tmp_path, monkeypatch, threads):
     cfg = load_config(write_config(tmp_path))
