@@ -90,9 +90,9 @@ def decompose(states, problem: SpectralProblem) -> Records:
     """
     tau = problem.tau
     target = problem.target
-    local = np.stack([s.local for s in states])  # (R, n, d)
-    pooled = np.stack([s.pooled for s in states])  # (R, d)
-    population = np.stack([s.population for s in states])
+    local = np.array([s.local for s in states])  # (R, n, d)
+    pooled = np.array([s.pooled for s in states])  # (R, d)
+    population = np.array([s.population for s in states])
 
     dev_target = local - target
     excess = (dev_target * dev_target) @ tau
@@ -109,8 +109,8 @@ def decompose(states, problem: SpectralProblem) -> Records:
     off = local - center[:, None, :]
     consensus_err = np.sqrt((off * off).sum(axis=-1).max(axis=-1))
 
-    popcov_avg = np.stack([s.popcov_avg for s in states])
-    pvec = np.stack([s.popcov_state for s in states]) - popcov_avg[:, None, :]
+    popcov_avg = np.array([s.popcov_avg for s in states])
+    pvec = np.array([s.popcov_state for s in states]) - popcov_avg[:, None, :]
     popcov_err = (pvec * pvec) @ tau
     rvec = dev - pvec
     residual_err = (rvec * rvec) @ tau

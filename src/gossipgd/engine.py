@@ -10,10 +10,19 @@ Each iteration advances four coupled recursions on the same step sequence:
 
 Keeping them in lockstep is what makes the error decomposition in
 :mod:`gossipgd.diagnostics` exact rather than estimated.
+
+:func:`run` advances all four in one fused step per iteration, computing
+the step-size factors once per step size (once per run when ``theta = 0``).
+The public one-step helpers (:func:`dgd_step`, :func:`single_machine_step`,
+:func:`population_step`, :func:`noise_terms` and
+:func:`gossipgd.diagnostics.popcov_step`) are its reference: the fused step
+evaluates each of their expressions in the same order, so every state
+:func:`run` reaches is their step from the state before, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -285,6 +294,10 @@ def run(
             blocks.append(diagnostics.decompose(pending, problem))
             pending.clear()
 
+    tau, target, gossip = problem.tau, problem.target, P.entries
+    gradients = stats.gradients
+    after = variant == "gossip_after_gradient"
+    eta = None  # the step size the factors below were computed for
     for t in range(1, T + 1):
         if observer is not None:
             observer(state)
@@ -294,24 +307,32 @@ def run(
                 flush()
         if t == T:
             break
+        # each expression keeps its reference helper's order of evaluation
         eta_t = sched.at(t)
-        noise = noise_terms(state.population, stats, problem)
-        pc_state, pc_avg = diagnostics.popcov_step(
-            state.popcov_state, state.popcov_avg, noise, P.entries, problem.tau, eta_t
-        )
-        new_local = dgd_step(state.local, stats, P.entries, eta_t, variant)
-        if not np.linalg.norm(new_local) <= DIVERGENCE_NORM:  # also true for nan
+        if eta_t != eta:
+            eta = eta_t
+            eta_tau = eta * tau
+            decay = 1.0 - eta_tau
+            decay_rows = np.tile(decay, (n, 1))
+        local, population = state.local, state.population
+        if after:
+            new_local = gossip @ (local - eta * gradients(local))
+        else:
+            new_local = gossip @ local - eta * gradients(local)
+        if not math.sqrt(np.vdot(new_local, new_local)) <= DIVERGENCE_NORM:  # also true for nan
             if t % stride != 0:
                 pending.append(state)
             flush()
             raise DivergenceError(t + 1, diagnostics.Records.concat(blocks))
+        gap = population - target
+        noise = tau * gap - gradients(population)
         state = TrainState(
             t=t + 1,
             local=new_local,
-            pooled=single_machine_step(state.pooled, stats, eta_t),
-            population=population_step(state.population, problem, eta_t),
-            popcov_state=pc_state,
-            popcov_avg=pc_avg,
+            pooled=state.pooled - eta * (np.add.reduce(gradients(state.pooled), 0) / n),
+            population=population - eta_tau * gap,
+            popcov_state=gossip @ (decay_rows * state.popcov_state + eta * noise),
+            popcov_avg=decay * state.popcov_avg + eta * (np.add.reduce(noise, 0) / n),
         )
     flush()
     return RunResult(records=diagnostics.Records.concat(blocks), final=state)

@@ -135,7 +135,9 @@ class ExperimentConfig:
     replicates: int = _key("run", int, 1, _at_least(1))
     master_seed: int = _key("run", int, 0, _at_least(0))
     protocol: str = _key("run", str, "gossip_after_gradient", _one_of(engine.PROTOCOL_VARIANTS))
-    output: str = _key("run", str, "results.csv")
+    output: str = _key(
+        "run", str, "results.csv", _rule(lambda v: Path(v).name not in ("", ".."), "a file name")
+    )
 
 
 # the CSV column order: one line per recorded iteration of one run

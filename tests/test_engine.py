@@ -16,6 +16,7 @@ from gossipgd import (
     build_gossip_matrix,
     build_topology,
     make_problem,
+    popcov_step,
     population_step,
     run,
     sample_agent_data,
@@ -353,6 +354,70 @@ def test_stride_records_equal_stride_one_records(sampler, m, diverging_eta):
     assert [rec.t for rec in spaced.records] == list(range(7, last, 7)) + [last]
     for rec in spaced.records:
         assert_same_bits(rec, every.records[rec.t - 1])
+
+
+def reference_step(state, stats, prob, P, eta, variant):
+    """The state after ``state`` by the public one-step helpers."""
+    noise = engine.noise_terms(state.population, stats, prob)
+    popcov_state, popcov_avg = popcov_step(
+        state.popcov_state, state.popcov_avg, noise, P.entries, prob.tau, eta
+    )
+    return engine.TrainState(
+        t=state.t + 1,
+        local=engine.dgd_step(state.local, stats, P.entries, eta, variant),
+        pooled=engine.single_machine_step(state.pooled, stats, eta),
+        population=population_step(state.population, prob, eta),
+        popcov_state=popcov_state,
+        popcov_avg=popcov_avg,
+    )
+
+
+def assert_states_follow_the_reference(states, datasets, prob, P, sched, variant):
+    stats = AgentStats.from_data(datasets)
+    for prev, state in zip(states, states[1:]):
+        want = reference_step(prev, stats, prob, P, sched.at(prev.t), variant)
+        for f in dataclasses.fields(state):
+            got = getattr(state, f.name)
+            assert np.array_equal(got, getattr(want, f.name)), (state.t, f.name)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+@pytest.mark.parametrize("variant", engine.PROTOCOL_VARIANTS)
+@pytest.mark.parametrize("sampler,m,mode", [("coordinate", 32, "diag"), ("gaussian", 32, "dense"),
+                                            ("gaussian", 8, "stream")])
+def test_fused_step_equals_the_reference_helpers(sampler, m, mode, variant, theta):
+    # run() advances every lockstep iterate in one fused step; each state it
+    # reaches must be the helpers' step from the state before, bit for bit
+    prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
+    datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(6)]
+    assert AgentStats.from_data(datasets).mode == mode
+    P = matrix("cycle", 6)
+    sched = StepSchedule(0.05, theta)
+    states = []
+    run(prob, datasets, P, sched, T=40, variant=variant, observer=states.append)
+    assert [s.t for s in states] == list(range(1, 41))
+    assert_states_follow_the_reference(states, datasets, prob, P, sched, variant)
+
+
+@pytest.mark.parametrize("sampler,m,diverging_eta", STRIDE_MODES)
+def test_diverged_run_follows_the_reference_to_its_last_state(sampler, m, diverging_eta):
+    prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
+    datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(6)]
+    P = matrix("cycle", 6)
+    sched = StepSchedule(diverging_eta)
+    states = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DivergenceError) as info:
+            run(prob, datasets, P, sched, T=200, observer=states.append)
+        assert states[-1].t == info.value.iteration - 1
+        assert_states_follow_the_reference(
+            states, datasets, prob, P, sched, "gossip_after_gradient"
+        )
+        # the helpers' next step from the last state leaves the trust region
+        stats = AgentStats.from_data(datasets)
+        last = engine.dgd_step(states[-1].local, stats, P.entries, diverging_eta)
+    assert not np.linalg.norm(last) <= engine.DIVERGENCE_NORM
 
 
 # (sampler, m, eta that diverges after more than one block of records)

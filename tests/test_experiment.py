@@ -173,6 +173,10 @@ COMPLETE = "kind = complete\nweight_scheme = uniform_complete"
         lambda t: t.replace("r = 1.0", "r = inf"),
         lambda t: t.replace("eta = 0.05", "eta = inf"),
         lambda t: t.replace("noise_sigma = 0.2", "noise_sigma = inf"),
+        # the output must name a file, not a directory
+        pytest.param(lambda t: t.replace("output = results.csv", "output ="), id="empty"),
+        pytest.param(lambda t: t.replace("output = results.csv", "output = ."), id="dot"),
+        pytest.param(lambda t: t.replace("output = results.csv", "output = .."), id="dotdot"),
     ],
 )
 def test_load_config_rejects(tmp_path, mutate):
