@@ -86,7 +86,8 @@ def decompose(states, problem: SpectralProblem) -> Records:
 
     Row r scores ``states[r]``, bit for bit as a block of that state alone:
     the per-agent fields are one matrix-vector product per state and
-    ``bias_sq`` and ``sample_var`` one ``np.dot`` per state.
+    ``bias_sq`` and ``sample_var`` one ``(1, d) @ (d,)`` product per state,
+    which gives the bits of ``np.dot(tau, row)``.
     """
     tau = problem.tau
     target = problem.target
@@ -98,9 +99,9 @@ def decompose(states, problem: SpectralProblem) -> Records:
     excess = (dev_target * dev_target) @ tau
 
     gap_pop = population - target
-    bias_sq = np.array([np.dot(tau, row) for row in gap_pop * gap_pop])
+    bias_sq = ((gap_pop * gap_pop)[:, None, :] @ tau)[:, 0]
     gap_pool = pooled - population
-    sample_var = np.array([np.dot(tau, row) for row in gap_pool * gap_pool])
+    sample_var = ((gap_pool * gap_pool)[:, None, :] @ tau)[:, 0]
 
     dev = local - pooled[:, None, :]
     network_err = (dev * dev) @ tau

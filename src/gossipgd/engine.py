@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,8 @@ class AgentStats:
     touches a single coordinate, as a dense matrix when m >= d, and
     implicitly (re-multiplying through the sample matrix) when d > m.
     :class:`~gossipgd.problem.CoordinateData` is reduced from its picks and
-    values; only the dense and stream modes read the sample matrix.
+    values; only the dense and stream modes read the sample matrix, and only
+    the stream mode keeps it.
     """
 
     xy: np.ndarray = field(repr=False)  # (n, d)
@@ -93,28 +95,61 @@ class AgentStats:
     x: np.ndarray | None = field(default=None, repr=False)  # (n, m, d)
 
     @classmethod
-    def from_data(cls, datasets: list[AgentData | CoordinateData]) -> "AgentStats":
-        if not datasets:
-            raise ValueError("need at least one agent")
-        shapes = {_sample_shape(data) for data in datasets}
-        if len(shapes) != 1:
-            raise ValueError(f"agents must hold equally shaped samples, got {shapes}")
-        m, d = shapes.pop()
+    def from_data(cls, datasets: Iterable[AgentData | CoordinateData]) -> "AgentStats":
+        """Reduce any iterable of agents in one pass, each agent as it arrives.
+
+        Every agent is checked and reduced when it arrives and then dropped,
+        except while every row seen so far has one nonzero: those agents are
+        held, so that an agent with a two-nonzero row can reduce them again
+        in the dense or stream mode, bit for bit as if no diag attempt had
+        been made.
+        """
+        shape = None
+        held = []  # every agent so far, while the statistics may be diagonal; then None
+        moments = []  # per agent: x^T y, and diag(x^T x), x^T x or x by mode
         for data in datasets:
+            agent_shape = _sample_shape(data)
+            if shape is None:
+                shape = agent_shape
+            elif agent_shape != shape:
+                raise ValueError(
+                    f"agents must hold equally shaped samples, got {agent_shape}"
+                    f" for agent {data.agent_id} after {shape}"
+                )
+            m, d = shape
             if np.shape(data.y) != (m,):
                 raise ValueError(
                     f"agent {data.agent_id} holds {m} samples but y has shape {np.shape(data.y)}"
                 )
-        diag = _diag_moments(datasets, d)
-        if diag is not None:
-            xy, cov_diag = diag
-            return cls(xy=xy / m, mode="diag", cov_diag=cov_diag / m)
-        xs = np.stack([data.x for data in datasets])
-        ys = np.stack([data.y for data in datasets])
-        xy = np.einsum("nmd,nm->nd", xs, ys) / m
+            if held is not None:
+                coords = _coordinates(data)
+                if coords is not None:
+                    # each row adds its one nonzero to its own coordinate in row
+                    # order; for d > 1 that is the order the dense reductions
+                    # over samples add them in, so the sums keep their bits
+                    picks, vals = coords
+                    moments.append(
+                        (np.bincount(picks, vals * data.y, d), np.bincount(picks, vals * vals, d))
+                    )
+                    held.append(data)
+                    continue
+                # a row with two nonzeros: every agent so far is reduced anew
+                moments = [_moments(agent, m >= d) for agent in held]
+                held = None
+            moments.append(_moments(data, m >= d))
+            del data  # the next agent is drawn without this one alive
+        if shape is None:
+            raise ValueError("need at least one agent")
+        m, d = shape
+        # an unnamed stack is divided in place (NumPy reuses the temporary),
+        # so the statistics are not copied a third time
+        xy, second = zip(*moments)
+        xy = np.stack(xy) / m
+        if held is not None:
+            return cls(xy=xy, mode="diag", cov_diag=np.stack(second) / m)
         if m >= d:
-            return cls(xy=xy, mode="dense", cov=np.einsum("nmd,nme->nde", xs, xs) / m)
-        return cls(xy=xy, mode="stream", x=xs)
+            return cls(xy=xy, mode="dense", cov=np.stack(second) / m)
+        return cls(xy=xy, mode="stream", x=np.stack(second))
 
     @property
     def n(self) -> int:
@@ -150,24 +185,10 @@ def _coordinates(data: AgentData | CoordinateData):
     return picks, x[np.arange(len(picks)), picks]
 
 
-def _diag_moments(datasets: list[AgentData | CoordinateData], d: int):
-    """Sums of x*y and x*x per coordinate, agent by agent, or None.
-
-    Returns None as soon as an agent holds a row with two nonzeros.  Each
-    row adds its one nonzero to its own coordinate in row order; for d > 1
-    that is the order the stacked reductions over samples add them in, so
-    the sums are bit for bit those of the dense tensor without building it.
-    """
-    xy = np.empty((len(datasets), d))
-    cov_diag = np.empty((len(datasets), d))
-    for v, data in enumerate(datasets):
-        coords = _coordinates(data)
-        if coords is None:
-            return None
-        picks, vals = coords
-        xy[v] = np.bincount(picks, vals * data.y, d)
-        cov_diag[v] = np.bincount(picks, vals * vals, d)
-    return xy, cov_diag
+def _moments(data: AgentData | CoordinateData, dense: bool):
+    """One agent's x^T y, and its x^T x if ``dense`` or else its x."""
+    x = data.x
+    return np.einsum("md,m->d", x, data.y), (np.einsum("md,me->de", x, x) if dense else x)
 
 
 @dataclass
@@ -230,7 +251,7 @@ def noise_terms(population: np.ndarray, stats: AgentStats, problem: SpectralProb
 
 def run(
     problem: SpectralProblem,
-    datasets: list[AgentData | CoordinateData],
+    datasets: Iterable[AgentData | CoordinateData],
     P: GossipMatrix,
     sched: StepSchedule,
     T: int,
@@ -242,10 +263,12 @@ def run(
 ) -> RunResult:
     """Advance all processes in lockstep for T iterations.
 
-    Iteration t is recorded whenever ``t % stride == 0``, plus always the
-    last state reached: the records end at ``t = T``, or, if the update to
-    ``t + 1`` sends the local iterates past ``DIVERGENCE_NORM`` (or to nan),
-    at ``t``, and :class:`DivergenceError` is raised carrying them.  The
+    ``datasets`` is any iterable of agents, consumed once by
+    :meth:`AgentStats.from_data`.  Iteration t is recorded whenever
+    ``t % stride == 0``, plus always the last state reached: the records end
+    at ``t = T``, or, if the update to ``t + 1`` sends the local iterates
+    past ``DIVERGENCE_NORM`` (or to nan), at ``t``, and
+    :class:`DivergenceError` is raised carrying them.  The
     recorded states are scored in blocks by
     :func:`gossipgd.diagnostics.decompose`, whose rows do not depend on the
     block, and returned as one columnar :class:`~gossipgd.diagnostics.Records`.
@@ -256,11 +279,11 @@ def run(
         raise ValueError("stride must be >= 1")
     if variant not in PROTOCOL_VARIANTS:
         raise ValueError(f"unknown protocol variant {variant!r}")
-    if P.n != len(datasets):
-        raise ValueError(f"gossip matrix is {P.n}x{P.n} but there are {len(datasets)} agents")
 
     stats = AgentStats.from_data(datasets)
     n, d = stats.n, problem.d
+    if P.n != n:
+        raise ValueError(f"gossip matrix is {P.n}x{P.n} but there are {n} agents")
     if stats.xy.shape[1] != d:
         raise ValueError("agent data dimension does not match the problem")
     if sched.at(1) * problem.kappa_sq > 1.0 + 1e-12:

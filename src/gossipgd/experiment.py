@@ -261,7 +261,8 @@ def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate:
     else:
         eta, updates = float(cfg.eta), cfg.t_max
     sched = engine.StepSchedule(eta=eta, theta=cfg.theta)
-    datasets = [sample_agent_data(problem, m, v, seed) for v in range(n)]
+    # drawn one agent at a time as the statistics build consumes them
+    datasets = (sample_agent_data(problem, m, v, seed) for v in range(n))
 
     diverged_at = -1
     try:

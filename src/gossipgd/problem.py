@@ -191,7 +191,8 @@ def sample_agent_data(
         vals = np.sqrt(d * problem.tau[picks])
         y = _add_noise(problem, rng, vals * problem.target[picks])  # x @ target
         return CoordinateData(_freeze(picks), _freeze(vals), y, d, agent_id)
-    x = rng.standard_normal((m, d)) * np.sqrt(problem.tau)[None, :]
+    x = rng.standard_normal((m, d))
+    x *= np.sqrt(problem.tau)  # in place: one m x d buffer per draw
     y = _add_noise(problem, rng, x @ problem.target)
     return AgentData(x=_freeze(x), y=y, agent_id=agent_id)
 

@@ -1,0 +1,69 @@
+"""The benchmark's traced run still reports every per-layer metric it declares.
+
+The tracer wraps public names and silently drops a metric whose name went
+away; this runs ``perfbench/child.py traced`` on two tiny sweeps and checks
+that each per-layer metric in ``BENCHMARK.json`` comes back, finite.
+"""
+
+import json
+import math
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# per-layer metrics that perfbench/run.py adds itself, not the traced child
+ADDED_BY_RUNNER = {
+    "wall.sweep_s",
+    "wall.ref_s",
+    "wall.setup_s",
+    "experiment.rows",
+    "experiment.csv_bytes",
+    "trace.overhead_frac",
+}
+
+TINY_CONFIG = """
+[problem]
+d = 8
+gamma = 0.5
+r = 1.0
+noise_sigma = 0.5
+sampler = {sampler}
+
+[topology]
+kind = cycle
+
+[sweep]
+n = 3 4
+m = {m}
+
+[schedule]
+eta = 0.02
+
+[run]
+T_max = 30
+stride = 5
+master_seed = 1
+output = tiny.csv
+"""
+
+
+@pytest.mark.parametrize("sampler,m", [("coordinate", "16"), ("gaussian", "4 16")])
+def test_traced_child_reports_every_per_layer_metric(tmp_path, sampler, m):
+    config = tmp_path / "tiny.ini"
+    config.write_text(TINY_CONFIG.format(sampler=sampler, m=m))
+    argv = [sys.executable, str(ROOT / "perfbench" / "child.py"), "traced", str(config)]
+    argv += [str(tmp_path / "out"), repr(time.monotonic())]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads(proc.stdout.strip().splitlines()[-1])["layers"]
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    wanted = {metric["name"] for metric in declared} - ADDED_BY_RUNNER
+    missing = sorted(wanted - layers.keys())
+    assert not missing, f"traced run lacks {missing}"
+    assert all(math.isfinite(layers[name]) for name in wanted), layers

@@ -86,6 +86,30 @@ def test_decompose_zero_state():
     assert np.all(rec.residual_err == 0.0)
 
 
+@pytest.mark.parametrize("d", [16, 64, 512])
+def test_decompose_scalars_equal_one_dot_per_row(d):
+    # bias_sq and sample_var come from one batched product; each row keeps
+    # the bits of np.dot(tau, row), the form it replaced
+    prob = make_problem(d, 0.5, 1.0)
+    rng = np.random.default_rng(d)
+    states = [
+        TrainState(
+            t=t,
+            local=rng.standard_normal((2, d)),
+            pooled=rng.standard_normal(d) * rng.random(),
+            population=rng.standard_normal(d) * rng.random(),
+            popcov_state=np.zeros((2, d)),
+            popcov_avg=np.zeros(d),
+        )
+        for t in range(1, 501)
+    ]
+    records = decompose(states, prob)
+    gap_pop = np.array([s.population for s in states]) - prob.target
+    gap_pool = np.array([s.pooled - s.population for s in states])
+    assert np.array_equal(records.bias_sq, [np.dot(prob.tau, g * g) for g in gap_pop])
+    assert np.array_equal(records.sample_var, [np.dot(prob.tau, g * g) for g in gap_pool])
+
+
 def test_records_are_read_only_columns_with_rows():
     prob, data, P = small_instance(seed=1)
     records = run(prob, data, P, StepSchedule(0.05), T=20, stride=3).records

@@ -47,6 +47,12 @@ def test_agent_stats_match_direct_computation(sampler, m):
     prob = make_problem(d, 0.5, 1.0, noise_sigma=0.4, sampler=sampler)
     datasets = [sample_agent_data(prob, m, v, seed=31) for v in range(n)]
     stats = AgentStats.from_data(datasets)
+    # an iterator of the same agents, consumed once, gives the same bits
+    streamed = AgentStats.from_data(iter(datasets))
+    for f in dataclasses.fields(AgentStats):
+        got, want = getattr(streamed, f.name), getattr(stats, f.name)
+        assert (got is None) == (want is None), f.name
+        assert want is None or np.array_equal(got, want), f.name
     w = np.linspace(-1.0, 1.0, d)
     W = np.outer([1.0, -0.5, 2.0], w)
 
@@ -120,19 +126,21 @@ def test_diag_stats_on_negative_entries_and_zero_rows():
 
 @pytest.mark.parametrize("m,mode", [(8, "dense"), (3, "stream")])
 def test_one_two_coordinate_row_leaves_the_diag_path(m, mode):
+    # the agents held while the statistics may be diagonal are reduced anew
     prob = make_problem(5, 0.5, 1.0, noise_sigma=0.3)
     datasets = [sample_agent_data(prob, m, v, seed=2) for v in range(3)]
     x = datasets[-1].x.copy()
     x[-1] = [1.0, -2.0, 0.0, 0.0, 0.0]  # only the last agent's last row
     datasets[-1] = AgentData(x=x, y=datasets[-1].y, agent_id=2)
-    stats = AgentStats.from_data(datasets)
     xs = np.stack([a.x for a in datasets])
-    assert stats.mode == mode
-    assert np.array_equal(stats.xy, stacked_moments(datasets)[0])
-    if mode == "dense":
-        assert np.array_equal(stats.cov, np.einsum("nmd,nme->nde", xs, xs) / m)
-    else:
-        assert np.array_equal(stats.x, xs)
+    for feed in (list, iter):
+        stats = AgentStats.from_data(feed(datasets))
+        assert stats.mode == mode
+        assert np.array_equal(stats.xy, stacked_moments(datasets)[0])
+        if mode == "dense":
+            assert np.array_equal(stats.cov, np.einsum("nmd,nme->nde", xs, xs) / m)
+        else:
+            assert np.array_equal(stats.x, xs)
 
 
 def test_diag_stats_never_stack_the_samples():
@@ -166,6 +174,24 @@ def test_coordinate_sampling_never_builds_the_samples():
     assert stats.mode == "diag"
     # one agent's dense x alone takes m * d * 8 bytes
     assert peak < m * d * 8 / 8
+
+
+def test_dense_stats_hold_one_agent_at_a_time():
+    # each agent is reduced and dropped before the next one is drawn
+    m, d, n = 4096, 64, 8
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler="gaussian")
+    first = sample_agent_data(prob, m, 0, seed=9)
+    samples = first.x.nbytes + first.y.nbytes
+    del first
+    tracemalloc.start()
+    try:
+        stats = AgentStats.from_data(sample_agent_data(prob, m, v, seed=9) for v in range(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.mode == "dense" and stats.n == n
+    # the stacked samples alone would take n * samples
+    assert peak < 2 * samples + stats.xy.nbytes + stats.cov.nbytes
 
 
 def test_agent_stats_rejects_mismatched_shapes():

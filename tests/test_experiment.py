@@ -322,6 +322,19 @@ def test_gaussian_cycle_demo_matches_golden_csv(tmp_path):
     assert out.read_bytes() == (DEMOS / "output" / "gaussian_cycle.csv").read_bytes()
 
 
+def test_option_surface_demo_matches_golden_csv(tmp_path):
+    """Pins options the other goldens leave open, byte for byte.
+
+    A grid2d graph (3 x 3, rows and cols set), Chebyshev-accelerated
+    gossip (chebyshev_k = 4), decaying steps (theta = 0.5) and the
+    gossip_before_gradient protocol, on coordinate samples in diag mode
+    at m = 16 and 64 with the metropolis_lazy weights.
+    """
+    cfg = load_config(DEMOS / "configs" / "option_surface.ini")
+    out = run_experiment(cfg, out_dir=tmp_path)
+    assert out.read_bytes() == (DEMOS / "output" / "option_surface.csv").read_bytes()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_failed_sweep_keeps_previous_csv(tmp_path, monkeypatch, threads):
     cfg = load_config(write_config(tmp_path))
@@ -480,6 +493,7 @@ def test_sweep_columns_reduce_each_record_in_dense_and_stream_mode(tmp_path, mon
     modes, records = [], []
 
     def capture(problem, datasets, *args, **kwargs):
+        datasets = list(datasets)  # an iterable of agents, read twice here
         modes.append(experiment.engine.AgentStats.from_data(datasets).mode)
         result = run(problem, datasets, *args, **kwargs)
         records.extend(result.records)
