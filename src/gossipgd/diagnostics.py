@@ -12,7 +12,7 @@ residual coupling term.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,11 +63,6 @@ class Records:
     def __post_init__(self):
         for column in vars(self).values():
             column.setflags(write=False)
-
-    @classmethod
-    def concat(cls, blocks: list["Records"]) -> "Records":
-        names = [f.name for f in fields(cls)]
-        return cls(**{name: np.concatenate([getattr(b, name) for b in blocks]) for name in names})
 
     def __len__(self) -> int:
         return len(self.t)

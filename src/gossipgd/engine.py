@@ -99,13 +99,15 @@ class AgentStats:
         """Reduce any iterable of agents in one pass, each agent as it arrives.
 
         Every agent is checked and reduced when it arrives and then dropped,
-        except while every row seen so far has one nonzero: those agents are
-        held, so that an agent with a two-nonzero row can reduce them again
-        in the dense or stream mode, bit for bit as if no diag attempt had
-        been made.
+        except while every row seen so far has one nonzero and m < d: those
+        agents are held, so that an agent with a two-nonzero row can hand
+        their ``x`` to the stream mode.  When m >= d the dense fallback
+        rebuilds each earlier agent's moments from its diag ones, bit for
+        bit as if no diag attempt had been made.
         """
         shape = None
-        held = []  # every agent so far, while the statistics may be diagonal; then None
+        diag = True  # every row so far has one nonzero
+        held = []  # while diag and m < d: every agent so far, for the stream fallback
         moments = []  # per agent: x^T y, and diag(x^T x), x^T x or x by mode
         for data in datasets:
             agent_shape = _sample_shape(data)
@@ -121,21 +123,23 @@ class AgentStats:
                 raise ValueError(
                     f"agent {data.agent_id} holds {m} samples but y has shape {np.shape(data.y)}"
                 )
-            if held is not None:
+            if diag:
                 coords = _coordinates(data)
                 if coords is not None:
-                    # each row adds its one nonzero to its own coordinate in row
-                    # order; for d > 1 that is the order the dense reductions
-                    # over samples add them in, so the sums keep their bits
-                    picks, vals = coords
-                    moments.append(
-                        (np.bincount(picks, vals * data.y, d), np.bincount(picks, vals * vals, d))
-                    )
-                    held.append(data)
+                    moments.append(_diag_moments(*coords, data.y, d))
+                    if m < d:
+                        held.append(data)
+                    del data, coords  # the next agent is drawn without this one alive
                     continue
-                # a row with two nonzeros: every agent so far is reduced anew
-                moments = [_moments(agent, m >= d) for agent in held]
-                held = None
+                # a row with two nonzeros: the dense second moment of a
+                # one-nonzero agent is its diag one on the diagonal, bit for
+                # bit (each off-diagonal sum adds only zero products);
+                # the stream mode needs each agent's x again
+                if m >= d:
+                    moments = [(xy, np.diag(second)) for xy, second in moments]
+                else:
+                    moments = [_moments(agent, False) for agent in held]
+                diag, held = False, None
             moments.append(_moments(data, m >= d))
             del data  # the next agent is drawn without this one alive
         if shape is None:
@@ -145,7 +149,7 @@ class AgentStats:
         # so the statistics are not copied a third time
         xy, second = zip(*moments)
         xy = np.stack(xy) / m
-        if held is not None:
+        if diag:
             return cls(xy=xy, mode="diag", cov_diag=np.stack(second) / m)
         if m >= d:
             return cls(xy=xy, mode="dense", cov=np.stack(second) / m)
@@ -183,6 +187,16 @@ def _coordinates(data: AgentData | CoordinateData):
         return None
     picks = nonzero.argmax(axis=1)  # an all-zero row picks 0 with value 0
     return picks, x[np.arange(len(picks)), picks]
+
+
+def _diag_moments(picks, vals, y, d):
+    """One agent's x^T y and diag(x^T x) from its rows' one nonzero each.
+
+    Each row adds its one nonzero to its own coordinate in row order; for
+    d > 1 that is the order the dense reductions over samples add them in,
+    so the sums keep their bits.
+    """
+    return np.bincount(picks, vals * y, d), np.bincount(picks, vals * vals, d)
 
 
 def _moments(data: AgentData | CoordinateData, dense: bool):
@@ -271,7 +285,9 @@ def run(
     :class:`DivergenceError` is raised carrying them.  The
     recorded states are scored in blocks by
     :func:`gossipgd.diagnostics.decompose`, whose rows do not depend on the
-    block, and returned as one columnar :class:`~gossipgd.diagnostics.Records`.
+    block, and copied into the run's record columns, which are allocated
+    once; they are returned as one columnar
+    :class:`~gossipgd.diagnostics.Records`.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -310,12 +326,26 @@ def run(
     )
 
     block = max(1, _BLOCK_BYTES // local.nbytes)
-    blocks, pending = [], []  # scored Records, and recorded states not yet scored
+    rows = T // stride + (T % stride != 0)  # the states a run that reaches T records
+    columns, pending = {}, []  # the run's record columns, and recorded states not yet scored
+    filled = 0  # rows of the columns scored so far
 
     def flush():
-        if pending:
-            blocks.append(diagnostics.decompose(pending, problem))
-            pending.clear()
+        nonlocal filled
+        if not pending:
+            return
+        scored = vars(diagnostics.decompose(pending, problem))
+        if not columns:
+            columns.update(
+                (name, np.empty((rows, *col.shape[1:]), col.dtype)) for name, col in scored.items()
+            )
+        for name, col in scored.items():
+            columns[name][filled : filled + len(pending)] = col
+        filled += len(pending)
+        pending.clear()
+
+    def records():
+        return diagnostics.Records(**{name: col[:filled] for name, col in columns.items()})
 
     tau, target, gossip = problem.tau, problem.target, P.entries
     gradients = stats.gradients
@@ -346,7 +376,7 @@ def run(
             if t % stride != 0:
                 pending.append(state)
             flush()
-            raise DivergenceError(t + 1, diagnostics.Records.concat(blocks))
+            raise DivergenceError(t + 1, records())
         gap = population - target
         noise = tau * gap - gradients(population)
         state = TrainState(
@@ -358,4 +388,4 @@ def run(
             popcov_avg=decay * state.popcov_avg + eta * (np.add.reduce(noise, 0) / n),
         )
     flush()
-    return RunResult(records=diagnostics.Records.concat(blocks), final=state)
+    return RunResult(records=records(), final=state)

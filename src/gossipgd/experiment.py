@@ -16,7 +16,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -245,12 +245,12 @@ def _build_gossip(cfg: ExperimentConfig, n: int):
 
 
 def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate: int):
-    """Execute one replicate and format its records as CSV lines.
+    """Execute one replicate; return an iterator over its records' CSV lines.
 
-    Per-job cells are formatted once; each record column is formatted in
-    one pass, after each per-agent column is reduced to its mean and max
-    over agents.  A diverged run keeps its partial records, which end at
-    the last finite state.
+    Per-job cells are formatted once; each per-agent column is reduced to
+    its mean and max over agents before the run's records are dropped, and
+    each line is joined as it is read.  A diverged run keeps its partial
+    records, which end at the last finite state.
     """
     seed = derive_seed(cfg.master_seed, sweep_index, replicate)
     P = _build_gossip(cfg, n)
@@ -296,7 +296,7 @@ def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate:
     cells = [
         repeat(_format_cell(fixed[c])) if c in fixed else columns[c] for c in RUN_RECORD_COLUMNS
     ]
-    return [",".join(row) + "\n" for row in zip(*cells)]
+    return (",".join(row) + "\n" for row in zip(*cells))
 
 
 def _format_cell(value) -> str:
@@ -336,8 +336,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", threads: int = 1) -> Path
             for line in _config_echo(cfg):
                 fh.write(line + "\n")
             fh.write(",".join(RUN_RECORD_COLUMNS) + "\n")
-            for block in blocks:
-                fh.writelines(block)
+            # each job's lines are written as they are joined, and dropped
+            # before the next job runs
+            fh.writelines(chain.from_iterable(blocks))
         os.replace(tmp_path, out_path)
     except BaseException:
         tmp_path.unlink(missing_ok=True)

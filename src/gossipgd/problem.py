@@ -188,8 +188,9 @@ def sample_agent_data(
     d = problem.d
     if problem.sampler == "coordinate":
         picks = rng.integers(0, d, size=m)
-        vals = np.sqrt(d * problem.tau[picks])
-        y = _add_noise(problem, rng, vals * problem.target[picks])  # x @ target
+        scale = np.sqrt(d * problem.tau)  # per coordinate, then gathered: same bits as per row
+        vals = scale[picks]
+        y = _add_noise(problem, rng, (scale * problem.target)[picks])  # x @ target
         return CoordinateData(_freeze(picks), _freeze(vals), y, d, agent_id)
     x = rng.standard_normal((m, d))
     x *= np.sqrt(problem.tau)  # in place: one m x d buffer per draw
@@ -200,5 +201,8 @@ def sample_agent_data(
 def _add_noise(problem: SpectralProblem, rng: np.random.Generator, y: np.ndarray) -> np.ndarray:
     """Frozen responses, with the noise drawn after the inputs from the same stream."""
     if problem.noise_sigma > 0.0:
-        y = y + problem.noise_sigma * rng.standard_normal(y.size)
+        noise = rng.standard_normal(y.size)
+        noise *= problem.noise_sigma
+        noise += y  # in place; the bits of y + sigma * noise
+        y = noise
     return _freeze(y)

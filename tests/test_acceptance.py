@@ -113,20 +113,23 @@ def path_sum_instances():
     return worst, time.perf_counter() - t0, records
 
 
-def tuned_sweep(d, seed_base=1234):
-    """Tuned-schedule excess risk over m for a 4-cycle at dimension d."""
+def tuned_sweep(d, ms=(128, 256, 512, 1024), replicates=20, seed_base=1234):
+    """Tuned-schedule excess risk over m for a 4-cycle at dimension d.
+
+    Each run draws its agents one at a time as the statistics build
+    reduces them, so no run holds all of its samples at once.
+    """
     t0 = time.perf_counter()
     n = 4
     P = cycle(n)
     prob = g.make_problem(d, 0.5, 1.0, R=1.0, noise_sigma=0.5)
-    ms = [128, 256, 512, 1024]
     means, records = [], []
     for idx, m in enumerate(ms):
         plan = g.tune_plan(n, m, 1.0, 0.5, P.sigma2, prob.kappa_sq)
         finals = []
-        for rep in range(20):
+        for rep in range(replicates):
             seed = g.derive_seed(seed_base, idx, rep)
-            data = [g.sample_agent_data(prob, m, v, seed) for v in range(n)]
+            data = (g.sample_agent_data(prob, m, v, seed) for v in range(n))
             result = g.run(
                 prob, data, P, g.StepSchedule(plan.eta), plan.t_stop + 1, stride=plan.t_stop + 1
             )
@@ -286,6 +289,22 @@ def test_05_tuned_rate_slope_control_at_small_dimension(tuned_rate_control_curve
         capsys, "A5-control", ok,
         f"excess-vs-nm slope {slope:.4f} (window [-1.0, -0.6], r^2={r_sq:.3f}, "
         f"d=8), runtime {elapsed:.1f}s (< 600s)",
+    )
+    assert elapsed < 600.0
+    assert -1.0 <= slope <= -0.6
+
+
+@pytest.mark.slow
+def test_05_tuned_rate_slope_at_large_dimension_and_large_m(capsys):
+    # A5's pipeline at d = 512 with m in 2^20..2^23 (nm up to 3.4e7), where
+    # the asymptotic rate has emerged; confirms the reason of A5's xfail.
+    # Deselected by default; run with `pytest -m slow`.
+    slope, r_sq, elapsed, _ = tuned_sweep(d=512, ms=[2**k for k in range(20, 24)], replicates=5)
+    ok = -1.0 <= slope <= -0.6 and elapsed < 600.0
+    report(
+        capsys, "A5-large-m", ok,
+        f"excess-vs-nm slope {slope:.4f} (window [-1.0, -0.6], r^2={r_sq:.3f}, "
+        f"d=512, m=2^20..2^23), runtime {elapsed:.1f}s (< 600s)",
     )
     assert elapsed < 600.0
     assert -1.0 <= slope <= -0.6

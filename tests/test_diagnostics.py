@@ -15,7 +15,7 @@ from gossipgd import (
     run,
     sample_agent_data,
 )
-from gossipgd.diagnostics import Records, decompose
+from gossipgd.diagnostics import decompose
 from gossipgd.engine import TrainState
 
 
@@ -126,8 +126,6 @@ def test_records_are_read_only_columns_with_rows():
         records.excess[0, 0] = 0.0
     with pytest.raises(IndexError):
         records[7]
-    both = Records.concat([records, records])
-    assert both.t.tolist() == records.t.tolist() * 2
 
 
 def test_risk_bound_combination():

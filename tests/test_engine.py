@@ -143,6 +143,48 @@ def test_one_two_coordinate_row_leaves_the_diag_path(m, mode):
             assert np.array_equal(stats.x, xs)
 
 
+def one_nonzero_agents(kind, d, m, n, seed):
+    """n agents whose rows have at most one nonzero each."""
+    if kind == "coordinate":
+        prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5)
+        return [sample_agent_data(prob, m, v, seed) for v in range(n)]
+    # one-hot rows by hand: negative entries, zero rows and -0.0 entries
+    rng = np.random.default_rng(seed)
+    agents = []
+    for v in range(n):
+        x = np.zeros((m, d))
+        x[np.arange(m), rng.integers(0, d, m)] = rng.standard_normal(m)
+        x[::7] = 0.0
+        x[(x == 0.0) & (rng.random((m, d)) < 0.5)] = -0.0
+        agents.append(AgentData(x=x, y=rng.standard_normal(m), agent_id=v))
+    return agents
+
+
+def bits(a):
+    # a uint64 view, so that the sign of a zero counts
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", ["coordinate", "one-hot"])
+@pytest.mark.parametrize(
+    "d,m", [(d, m) for d in (2, 3, 5, 16, 64, 512) for m in sorted({d, d + 1, 2 * d, max(1024, d)})]
+)
+def test_dense_fallback_rebuilds_dropped_agents_bit_for_bit(kind, d, m):
+    # the one-nonzero agents are dropped once reduced; when a later agent
+    # has a two-nonzero row their dense moments are rebuilt from the diag
+    # ones and must carry the bits of each agent's own einsum reductions
+    agents = one_nonzero_agents(kind, d, m, 3, seed=d + m)
+    x = agents[-1].x.copy()
+    x[-1, :2] = [1.0, -2.0]
+    agents[-1] = AgentData(x=x, y=agents[-1].y, agent_id=2)
+    xy = np.stack([np.einsum("md,m->d", a.x, a.y) for a in agents]) / m
+    cov = np.stack([np.einsum("md,me->de", a.x, a.x) for a in agents]) / m
+    for stats in (AgentStats.from_data(agents), AgentStats.from_data(a for a in agents)):
+        assert stats.mode == "dense"
+        assert np.array_equal(bits(stats.xy), bits(xy))
+        assert np.array_equal(bits(stats.cov), bits(cov))
+
+
 def test_diag_stats_never_stack_the_samples():
     # dense one-hot rows, as a caller may build them by hand
     prob = make_problem(256, 0.5, 1.0, noise_sigma=0.5)
@@ -176,12 +218,14 @@ def test_coordinate_sampling_never_builds_the_samples():
     assert peak < m * d * 8 / 8
 
 
-def test_dense_stats_hold_one_agent_at_a_time():
-    # each agent is reduced and dropped before the next one is drawn
+@pytest.mark.parametrize("sampler,mode", [("gaussian", "dense"), ("coordinate", "diag")])
+def test_stats_hold_one_agent_at_a_time(sampler, mode):
+    # each agent is reduced and dropped before the next one is drawn; with
+    # m >= d that holds for one-nonzero agents too
     m, d, n = 4096, 64, 8
-    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler="gaussian")
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
     first = sample_agent_data(prob, m, 0, seed=9)
-    samples = first.x.nbytes + first.y.nbytes
+    samples = sum(a.nbytes for a in vars(first).values() if isinstance(a, np.ndarray))
     del first
     tracemalloc.start()
     try:
@@ -189,9 +233,10 @@ def test_dense_stats_hold_one_agent_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert stats.mode == "dense" and stats.n == n
-    # the stacked samples alone would take n * samples
-    assert peak < 2 * samples + stats.xy.nbytes + stats.cov.nbytes
+    assert stats.mode == mode and stats.n == n
+    # the held samples alone would take n * samples
+    statistics = sum(a.nbytes for a in vars(stats).values() if isinstance(a, np.ndarray))
+    assert peak < 2 * samples + statistics
 
 
 def test_agent_stats_rejects_mismatched_shapes():
@@ -474,6 +519,23 @@ def test_block_records_equal_states_scored_alone(sampler, m, diverging_eta):
     assert [rec.t for rec in records] == list(range(1, info.value.iteration))
     for state, rec in zip(states, records, strict=True):
         assert_same_bits(rec, decompose([state], prob)[0])
+
+
+def test_run_holds_its_records_once():
+    # the record columns are allocated once and each scored block is copied
+    # in; blocks joined at the end would hold every record twice
+    n, d = 16, 16
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5)
+    datasets = [sample_agent_data(prob, 256, v, seed=1) for v in range(n)]
+    P = matrix("cycle", n)
+    tracemalloc.start()
+    try:
+        records = run(prob, datasets, P, StepSchedule(0.05), T=2001).records
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 2001
+    assert peak < 1.5 * sum(column.nbytes for column in vars(records).values())
 
 
 @pytest.mark.parametrize("sampler,m", [mode[:2] for mode in STRIDE_MODES])

@@ -1,6 +1,7 @@
 """Config parsing, the sweep runner, CSV output, and summaries."""
 
 import csv
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,34 @@ def test_failed_sweep_keeps_previous_csv(tmp_path, monkeypatch, threads):
         run_experiment(cfg, out_dir=tmp_path, threads=threads)
     assert previous.read_text() == "previous results\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "results.csv"]
+
+
+def test_sweep_holds_one_jobs_lines_at_a_time(tmp_path):
+    # each job's lines are written as they are joined, so a second job adds
+    # nothing to the peak of one job alone; a held line list adds about the
+    # job's CSV bytes
+    text = (
+        BASE_CONFIG.replace("d = 4", "d = 16")
+        .replace("kind = complete\nweight_scheme = uniform_complete", "kind = cycle")
+        .replace("n = 4 8", "n = 4")
+        .replace("m = 8 16", "m = 256")
+        .replace("T_max = 3", "T_max = 400")
+    )
+    peaks = []
+    for replicates in (1, 2):
+        path = write_config(tmp_path, text.replace("replicates = 3", f"replicates = {replicates}"))
+        cfg = load_config(path)
+        if not peaks:
+            run_experiment(cfg, out_dir=tmp_path)  # lazy imports and caches settle first
+        tracemalloc.start()
+        try:
+            out = run_experiment(cfg, out_dir=tmp_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_job, two_jobs = peaks
+    assert len(read_rows(out)) == 2 * 401
+    assert two_jobs < one_job + out.stat().st_size / 2 / 8
 
 
 def test_run_experiment_rejects_bad_threads(tmp_path):
