@@ -67,12 +67,6 @@ class StepSchedule:
     def at(self, t: int) -> float:
         return self.eta if self.theta == 0.0 else self.eta * float(t) ** (-self.theta)
 
-    def partial_sum(self, t: int) -> float:
-        """sum of the first t step sizes."""
-        if self.theta == 0.0:
-            return self.eta * t
-        return float(self.eta * np.sum(np.arange(1, t + 1, dtype=float) ** (-self.theta)))
-
 
 @dataclass(frozen=True)
 class AgentStats:
@@ -80,12 +74,12 @@ class AgentStats:
 
     The gradient of the local empirical risk at w is ``C_v w - b_v`` with
     ``C_v`` the empirical second moment and ``b_v`` the response
-    cross-moment.  ``C_v`` is kept as an exact diagonal when every sample
-    touches a single coordinate, as a dense matrix when m >= d, and
-    implicitly (re-multiplying through the sample matrix) when d > m.
-    :class:`~gossipgd.problem.CoordinateData` is reduced from its picks and
-    values; only the dense and stream modes read the sample matrix, and only
-    the stream mode keeps it.
+    cross-moment.  The type of the samples picks how ``C_v`` is kept:
+    :class:`~gossipgd.problem.CoordinateData` as an exact diagonal, reduced
+    from its picks and values (``diag``); :class:`~gossipgd.problem.AgentData`
+    as a dense matrix when m >= d (``dense``), and implicitly, re-multiplying
+    through the sample matrix, when d > m (``stream``).  Only the stream mode
+    keeps the sample matrix.
     """
 
     xy: np.ndarray = field(repr=False)  # (n, d)
@@ -98,21 +92,24 @@ class AgentStats:
     def from_data(cls, datasets: Iterable[AgentData | CoordinateData]) -> "AgentStats":
         """Reduce any iterable of agents in one pass, each agent as it arrives.
 
-        Every agent is checked and reduced when it arrives and then dropped,
-        except while every row seen so far has one nonzero and m < d: those
-        agents are held, so that an agent with a two-nonzero row can hand
-        their ``x`` to the stream mode.  When m >= d the dense fallback
-        rebuilds each earlier agent's moments from its diag ones, bit for
-        bit as if no diag attempt had been made.
+        The type of the agents picks the mode: ``CoordinateData`` gives
+        ``diag``, ``AgentData`` gives ``dense`` when m >= d and ``stream``
+        otherwise.  Mixing the two types is an error.  Every agent is checked
+        and reduced when it arrives and then dropped; only the stream mode
+        keeps its ``x``.
         """
-        shape = None
-        diag = True  # every row so far has one nonzero
-        held = []  # while diag and m < d: every agent so far, for the stream fallback
+        shape = coordinate = None
         moments = []  # per agent: x^T y, and diag(x^T x), x^T x or x by mode
         for data in datasets:
             agent_shape = _sample_shape(data)
             if shape is None:
-                shape = agent_shape
+                shape, coordinate = agent_shape, isinstance(data, CoordinateData)
+            elif isinstance(data, CoordinateData) != coordinate:
+                first = "CoordinateData" if coordinate else "AgentData"
+                raise ValueError(
+                    f"agents must all be of one type, got {type(data).__name__}"
+                    f" for agent {data.agent_id} after {first}"
+                )
             elif agent_shape != shape:
                 raise ValueError(
                     f"agents must hold equally shaped samples, got {agent_shape}"
@@ -123,24 +120,7 @@ class AgentStats:
                 raise ValueError(
                     f"agent {data.agent_id} holds {m} samples but y has shape {np.shape(data.y)}"
                 )
-            if diag:
-                coords = _coordinates(data)
-                if coords is not None:
-                    moments.append(_diag_moments(*coords, data.y, d))
-                    if m < d:
-                        held.append(data)
-                    del data, coords  # the next agent is drawn without this one alive
-                    continue
-                # a row with two nonzeros: the dense second moment of a
-                # one-nonzero agent is its diag one on the diagonal, bit for
-                # bit (each off-diagonal sum adds only zero products);
-                # the stream mode needs each agent's x again
-                if m >= d:
-                    moments = [(xy, np.diag(second)) for xy, second in moments]
-                else:
-                    moments = [_moments(agent, False) for agent in held]
-                diag, held = False, None
-            moments.append(_moments(data, m >= d))
+            moments.append(_diag_moments(data) if coordinate else _moments(data, m >= d))
             del data  # the next agent is drawn without this one alive
         if shape is None:
             raise ValueError("need at least one agent")
@@ -149,7 +129,7 @@ class AgentStats:
         # so the statistics are not copied a third time
         xy, second = zip(*moments)
         xy = np.stack(xy) / m
-        if diag:
+        if coordinate:
             return cls(xy=xy, mode="diag", cov_diag=np.stack(second) / m)
         if m >= d:
             return cls(xy=xy, mode="dense", cov=np.stack(second) / m)
@@ -177,29 +157,22 @@ def _sample_shape(data: AgentData | CoordinateData) -> tuple[int, int]:
     return data.x.shape
 
 
-def _coordinates(data: AgentData | CoordinateData):
-    """An agent's rows as (picks, vals), one nonzero each, or None if a row has two."""
-    if isinstance(data, CoordinateData):
-        return data.picks, data.vals
-    x = data.x
-    nonzero = x != 0.0
-    if np.count_nonzero(nonzero, axis=1).max(initial=0) > 1:
-        return None
-    picks = nonzero.argmax(axis=1)  # an all-zero row picks 0 with value 0
-    return picks, x[np.arange(len(picks)), picks]
-
-
-def _diag_moments(picks, vals, y, d):
+def _diag_moments(data: CoordinateData):
     """One agent's x^T y and diag(x^T x) from its rows' one nonzero each.
 
     Each row adds its one nonzero to its own coordinate in row order; for
     d > 1 that is the order the dense reductions over samples add them in,
-    so the sums keep their bits.
+    so the sums keep their bits.  ``np.add.at`` reads ``picks`` in place
+    (``np.bincount`` would copy the sampler's read-only array).
     """
-    return np.bincount(picks, vals * y, d), np.bincount(picks, vals * vals, d)
+    picks, vals = data.picks, data.vals
+    xy, second = np.zeros(data.d), np.zeros(data.d)
+    np.add.at(xy, picks, vals * data.y)
+    np.add.at(second, picks, vals * vals)
+    return xy, second
 
 
-def _moments(data: AgentData | CoordinateData, dense: bool):
+def _moments(data: AgentData, dense: bool):
     """One agent's x^T y, and its x^T x if ``dense`` or else its x."""
     x = data.x
     return np.einsum("md,m->d", x, data.y), (np.einsum("md,me->de", x, x) if dense else x)

@@ -2,9 +2,12 @@
 
 The tracer wraps public names and silently drops a metric whose name went
 away; this runs ``perfbench/child.py traced`` on two tiny sweeps and checks
-that each per-layer metric in ``BENCHMARK.json`` comes back, finite.
+that each per-layer metric in ``BENCHMARK.json`` comes back, finite, and
+that every name the tracer wraps still exists on the package.
 """
 
+import importlib.util
+import inspect
 import json
 import math
 import subprocess
@@ -13,6 +16,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+import gossipgd
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,6 +30,10 @@ ADDED_BY_RUNNER = {
     "experiment.csv_bytes",
     "trace.overhead_frac",
 }
+
+# names in perfbench/tracer.WRAPPED that no longer exist: the gradient
+# methods folded into AgentStats.gradients, whose layer keeps reporting
+STALE_WRAPPED = {("engine.AgentStats", "gradients_at"), ("engine.AgentStats", "mean_gradient")}
 
 TINY_CONFIG = """
 [problem]
@@ -67,3 +76,22 @@ def test_traced_child_reports_every_per_layer_metric(tmp_path, sampler, m):
     missing = sorted(wanted - layers.keys())
     assert not missing, f"traced run lacks {missing}"
     assert all(math.isfinite(layers[name]) for name in wanted), layers
+
+
+def test_every_wrapped_name_resolves():
+    # a wrapped name that went away is skipped by the tracer and its time
+    # moves to the caller's self time, which no other check would notice
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    absent = set()
+    for owner_path, attr, _layer in tracer.WRAPPED:
+        try:
+            owner = gossipgd
+            for part in owner_path.split("."):
+                owner = getattr(owner, part)
+            inspect.getattr_static(owner, attr)
+        except AttributeError:
+            absent.add((owner_path, attr))
+    missing = sorted(absent - STALE_WRAPPED)
+    assert not missing, f"perfbench/tracer.py wraps names that do not exist: {missing}"

@@ -86,6 +86,20 @@ def stacked_moments(datasets):
     return np.einsum("nmd,nm->nd", xs, ys) / m, (xs * xs).sum(axis=1) / m
 
 
+def bits(a):
+    # a uint64 view, so that the sign of a zero counts
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_dense_carries_diag_bits(coords):
+    """The dense statistics of the same rows as AgentData carry the diag bits."""
+    diag = AgentStats.from_data(coords)
+    dense = AgentStats.from_data([AgentData(x=a.x, y=a.y, agent_id=a.agent_id) for a in coords])
+    assert diag.mode == "diag" and dense.mode == "dense"
+    assert np.array_equal(bits(dense.xy), bits(diag.xy))
+    assert np.array_equal(bits(np.diagonal(dense.cov, axis1=1, axis2=2)), bits(diag.cov_diag))
+
+
 @pytest.mark.parametrize("d", [1, 5, 16, 512])
 @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
 def test_diag_stats_equal_stacked_reductions(d, noise_sigma):
@@ -100,12 +114,14 @@ def test_diag_stats_equal_stacked_reductions(d, noise_sigma):
     assert stats.mode == "diag"
     assert np.array_equal(stats.xy, xy)
     assert np.array_equal(stats.cov_diag, cov_diag)
-    # the sampler's (picks, vals) give the bits of its dense rows
+    # the same rows as AgentData are reduced densely; for d > 1 the dense
+    # x^T y and the diagonal of x^T x keep the diag bits
     assert all(isinstance(a, CoordinateData) for a in datasets)
-    dense = AgentStats.from_data([AgentData(x=a.x, y=a.y, agent_id=a.agent_id) for a in datasets])
-    assert dense.mode == "diag"
-    assert np.array_equal(stats.xy, dense.xy)
-    assert np.array_equal(stats.cov_diag, dense.cov_diag)
+    if d > 1:
+        assert_dense_carries_diag_bits(datasets)
+    else:  # one contiguous column: the dense sums add in another order
+        dense = [AgentData(x=a.x, y=a.y, agent_id=a.agent_id) for a in datasets]
+        assert AgentStats.from_data(dense).mode == "dense"
 
 
 def test_diag_stats_on_negative_entries_and_zero_rows():
@@ -113,10 +129,11 @@ def test_diag_stats_on_negative_entries_and_zero_rows():
     m, d = 200, 6
     datasets = []
     for v in range(3):
-        x = np.zeros((m, d))
-        x[np.arange(m), rng.integers(0, d, m)] = rng.standard_normal(m)  # about half negative
-        x[::7] = 0.0  # rows without a nonzero
-        datasets.append(AgentData(x=x, y=rng.standard_normal(m), agent_id=v))
+        vals = rng.standard_normal(m)  # about half negative
+        vals[::7] = 0.0  # rows without a nonzero
+        picks = rng.integers(0, d, m)
+        y = rng.standard_normal(m)
+        datasets.append(CoordinateData(picks=picks, vals=vals, y=y, d=d, agent_id=v))
     stats = AgentStats.from_data(datasets)
     xy, cov_diag = stacked_moments(datasets)
     assert stats.mode == "diag"
@@ -124,23 +141,22 @@ def test_diag_stats_on_negative_entries_and_zero_rows():
     assert np.array_equal(stats.cov_diag, cov_diag)
 
 
-@pytest.mark.parametrize("m,mode", [(8, "dense"), (3, "stream")])
-def test_one_two_coordinate_row_leaves_the_diag_path(m, mode):
-    # the agents held while the statistics may be diagonal are reduced anew
+@pytest.mark.parametrize(
+    "feed", [list, lambda agents: (a for a in agents)], ids=["list", "generator"]
+)
+@pytest.mark.parametrize(
+    "coordinate_first", [True, False], ids=["coordinate-first", "agentdata-first"]
+)
+def test_mixed_sample_types_are_rejected(coordinate_first, feed):
+    # the type of the samples picks the mode, so one iterable holds one type
     prob = make_problem(5, 0.5, 1.0, noise_sigma=0.3)
-    datasets = [sample_agent_data(prob, m, v, seed=2) for v in range(3)]
-    x = datasets[-1].x.copy()
-    x[-1] = [1.0, -2.0, 0.0, 0.0, 0.0]  # only the last agent's last row
-    datasets[-1] = AgentData(x=x, y=datasets[-1].y, agent_id=2)
-    xs = np.stack([a.x for a in datasets])
-    for feed in (list, iter):
-        stats = AgentStats.from_data(feed(datasets))
-        assert stats.mode == mode
-        assert np.array_equal(stats.xy, stacked_moments(datasets)[0])
-        if mode == "dense":
-            assert np.array_equal(stats.cov, np.einsum("nmd,nme->nde", xs, xs) / m)
-        else:
-            assert np.array_equal(stats.x, xs)
+    coords = [sample_agent_data(prob, 8, v, seed=2) for v in range(3)]
+    dense = [AgentData(x=a.x, y=a.y, agent_id=a.agent_id) for a in coords]
+    first, other = (coords, dense) if coordinate_first else (dense, coords)
+    agents = first[:2] + other[2:]
+    odd = type(agents[2]).__name__
+    with pytest.raises(ValueError, match=f"{odd} for agent 2"):
+        AgentStats.from_data(feed(agents))
 
 
 def one_nonzero_agents(kind, d, m, n, seed):
@@ -160,20 +176,19 @@ def one_nonzero_agents(kind, d, m, n, seed):
     return agents
 
 
-def bits(a):
-    # a uint64 view, so that the sign of a zero counts
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
 @pytest.mark.parametrize("kind", ["coordinate", "one-hot"])
 @pytest.mark.parametrize(
     "d,m", [(d, m) for d in (2, 3, 5, 16, 64, 512) for m in sorted({d, d + 1, 2 * d, max(1024, d)})]
 )
 def test_dense_fallback_rebuilds_dropped_agents_bit_for_bit(kind, d, m):
-    # the one-nonzero agents are dropped once reduced; when a later agent
-    # has a two-nonzero row their dense moments are rebuilt from the diag
-    # ones and must carry the bits of each agent's own einsum reductions
+    # coordinate agents: their rows as AgentData are reduced densely, and
+    # the dense x^T y and diagonal of x^T x carry the diag bits; one-hot
+    # AgentData (the last agent with a two-nonzero row) is reduced densely,
+    # bit for bit each agent's own einsum reductions, list and generator alike
     agents = one_nonzero_agents(kind, d, m, 3, seed=d + m)
+    if kind == "coordinate":
+        assert_dense_carries_diag_bits(agents)
+        return
     x = agents[-1].x.copy()
     x[-1, :2] = [1.0, -2.0]
     agents[-1] = AgentData(x=x, y=agents[-1].y, agent_id=2)
@@ -183,24 +198,6 @@ def test_dense_fallback_rebuilds_dropped_agents_bit_for_bit(kind, d, m):
         assert stats.mode == "dense"
         assert np.array_equal(bits(stats.xy), bits(xy))
         assert np.array_equal(bits(stats.cov), bits(cov))
-
-
-def test_diag_stats_never_stack_the_samples():
-    # dense one-hot rows, as a caller may build them by hand
-    prob = make_problem(256, 0.5, 1.0, noise_sigma=0.5)
-    datasets = [
-        AgentData(x=a.x, y=a.y, agent_id=a.agent_id)
-        for a in (sample_agent_data(prob, 4096, v, seed=9) for v in range(4))
-    ]
-    tracemalloc.start()
-    try:
-        stats = AgentStats.from_data(datasets)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert stats.mode == "diag"
-    # a stacked copy alone would take four times this
-    assert peak < datasets[0].x.nbytes
 
 
 def test_coordinate_sampling_never_builds_the_samples():
@@ -218,11 +215,20 @@ def test_coordinate_sampling_never_builds_the_samples():
     assert peak < m * d * 8 / 8
 
 
-@pytest.mark.parametrize("sampler,mode", [("gaussian", "dense"), ("coordinate", "diag")])
-def test_stats_hold_one_agent_at_a_time(sampler, mode):
-    # each agent is reduced and dropped before the next one is drawn; with
-    # m >= d that holds for one-nonzero agents too
-    m, d, n = 4096, 64, 8
+@pytest.mark.parametrize(
+    "sampler,mode,m,d,copies",
+    [
+        pytest.param("gaussian", "dense", 4096, 64, 1, id="gaussian-dense"),
+        pytest.param("coordinate", "diag", 4096, 64, 1, id="coordinate-diag"),
+        # with d > m the per-agent moments and their stack, two copies of the
+        # statistics, outweigh the samples
+        pytest.param("coordinate", "diag", 2048, 4096, 2, id="coordinate-diag-d-above-m"),
+    ],
+)
+def test_stats_hold_one_agent_at_a_time(sampler, mode, m, d, copies):
+    # each agent is reduced and dropped before the next one is drawn,
+    # whether m >= d or not
+    n = 8
     prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
     first = sample_agent_data(prob, m, 0, seed=9)
     samples = sum(a.nbytes for a in vars(first).values() if isinstance(a, np.ndarray))
@@ -236,7 +242,24 @@ def test_stats_hold_one_agent_at_a_time(sampler, mode):
     assert stats.mode == mode and stats.n == n
     # the held samples alone would take n * samples
     statistics = sum(a.nbytes for a in vars(stats).values() if isinstance(a, np.ndarray))
-    assert peak < 2 * samples + statistics
+    assert peak < 2 * samples + copies * statistics
+
+
+def test_diag_moments_do_not_copy_the_picks():
+    # one agent's reduction holds one m-long temporary at a time and no copy
+    # of the sampler's read-only picks
+    m, d = 2**20, 16
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5)
+    agent = sample_agent_data(prob, m, 0, seed=9)
+    assert not agent.picks.flags.writeable
+    tracemalloc.start()
+    try:
+        stats = AgentStats.from_data([agent])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    statistics = sum(a.nbytes for a in vars(stats).values() if isinstance(a, np.ndarray))
+    assert peak - statistics < 1.5 * m * 8
 
 
 def test_agent_stats_rejects_mismatched_shapes():
@@ -247,14 +270,17 @@ def test_agent_stats_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         AgentStats.from_data([])
     # a y that does not hold one response per sample names its agent, on
-    # the diag (one-hot x) and the dense path alike
-    two_rows = [[1.0, 0.0], [0.0, 1.0]]
-    full_rows = [[1.0, 2.0], [3.0, 4.0]]
-    for rows in (two_rows, full_rows):
+    # the diag and the dense path alike
+    def coordinate(y, agent_id):
+        return CoordinateData(np.array([0, 1]), np.array([1.0, -1.0]), np.array(y), 2, agent_id)
+
+    def dense(y, agent_id):
+        return AgentData(x=np.array([[1.0, 2.0], [3.0, 4.0]]), y=np.array(y), agent_id=agent_id)
+
+    for agent in (coordinate, dense):
         for y in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [[1.0], [2.0]]):
-            bad = AgentData(x=np.array(rows), y=np.array(y), agent_id=7)
             with pytest.raises(ValueError, match="agent 7"):
-                AgentStats.from_data([hand_data(rows, [1.0, 2.0], 0), bad])
+                AgentStats.from_data([agent([1.0, 2.0], 0), agent(y, 7)])
     with pytest.raises(ValueError, match="agent 3"):
         AgentStats.from_data([AgentData(x=np.ones(2), y=np.ones(2), agent_id=3)])
 
@@ -675,10 +701,7 @@ def test_step_schedule():
     sched = StepSchedule(0.4, theta=0.5)
     assert sched.at(1) == 0.4
     assert sched.at(4) == pytest.approx(0.2, abs=1e-15)
-    direct = sum(0.4 * k**-0.5 for k in range(1, 11))
-    assert sched.partial_sum(10) == pytest.approx(direct, rel=1e-14)
-    flat = StepSchedule(0.4)
-    assert flat.partial_sum(10) == pytest.approx(4.0, abs=1e-15)
+    assert StepSchedule(0.4).at(10) == 0.4
     with pytest.raises(ValueError):
         StepSchedule(0.0)
     with pytest.raises(ValueError):
