@@ -25,23 +25,22 @@ print(f"cycle of {n} agents, m={m} samples each, d={d}, eta={eta}, T={T}")
 print()
 header = f"{'t':>4} {'excess':>11} {'bias^2':>11} {'sample_var':>11} {'network':>11} {'popcov':>11} {'residual':>11}"
 print(header)
-for rec in result.records:
-    print(
-        f"{rec.t:>4} {rec.excess.mean():>11.3e} {rec.bias_sq:>11.3e} "
-        f"{rec.sample_var:>11.3e} {rec.network_err.mean():>11.3e} "
-        f"{rec.popcov_err.mean():>11.3e} {rec.residual_err.mean():>11.3e}"
-    )
+recs = result.records  # one column per field, one row per recorded iteration
+for row in zip(
+    recs.t.tolist(), recs.excess.mean(axis=1), recs.bias_sq, recs.sample_var,
+    recs.network_err.mean(axis=1), recs.popcov_err.mean(axis=1), recs.residual_err.mean(axis=1),
+):
+    print(" ".join([f"{row[0]:>4}"] + [f"{v:>11.3e}" for v in row[1:]]))
 print()
 print("bias falls with t; sample variance and network error climb toward")
 print("noise floors set by nm and by m * (spectral gap); early stopping")
 print("balances the three.")
 
-worst = max(float((rec.excess - rec.risk_bound()).max()) for rec in result.records)
+worst = float((recs.excess - recs.risk_bound()).max())
 print(f"\nexcess <= 2*bias^2 + 4*sample_var + 4*network at every record "
       f"(worst slack {worst:.2e})")
 
-final = result.records[-1]
-print(f"final consensus spread (worst agent vs mean): {final.consensus_err:.3e}")
+print(f"final consensus spread (worst agent vs mean): {recs.consensus_err[-1]:.3e}")
 
 print()
 print("== the deviation from the pooled run, reproduced exactly ==")

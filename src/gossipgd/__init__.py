@@ -9,7 +9,6 @@ experiment runner (:mod:`gossipgd.experiment`).
 """
 
 from .diagnostics import (
-    DecompositionRecord,
     Records,
     bruteforce_network_error,
     decompose,
@@ -72,7 +71,6 @@ __all__ = [
     "AgentData",
     "AgentStats",
     "CoordinateData",
-    "DecompositionRecord",
     "DivergenceError",
     "ExperimentConfig",
     "GossipMatrix",

@@ -20,35 +20,13 @@ from .problem import AgentData, CoordinateData, SpectralProblem
 
 
 @dataclass(frozen=True)
-class DecompositionRecord:
-    """Snapshot of the error decomposition at one iteration.
-
-    ``excess``, ``network_err``, ``popcov_err``, ``residual_err`` are
-    per-agent arrays; the rest are scalars shared by all agents.
-    """
-
-    t: int
-    excess: np.ndarray = field(repr=False)
-    bias_sq: float
-    sample_var: float
-    network_err: np.ndarray = field(repr=False)
-    consensus_err: float
-    popcov_err: np.ndarray = field(repr=False)
-    residual_err: np.ndarray = field(repr=False)
-
-    def risk_bound(self) -> np.ndarray:
-        """Per-agent certified bound 2*bias + 4*variance + 4*network."""
-        return 2.0 * self.bias_sq + 4.0 * self.sample_var + 4.0 * self.network_err
-
-
-@dataclass(frozen=True)
 class Records:
     """Decomposition records as read-only columns, one row per recorded iteration.
 
-    ``t`` and the scalar fields are ``(R,)`` columns and the per-agent
-    fields ``(R, n)`` columns, named as in :class:`DecompositionRecord`.
-    ``len``, indexing and iteration give :class:`DecompositionRecord` rows
-    with Python scalars and per-agent views.
+    ``t`` and the agent-shared scalars ``bias_sq``, ``sample_var`` and
+    ``consensus_err`` are ``(R,)`` columns; the per-agent ``excess``,
+    ``network_err``, ``popcov_err`` and ``residual_err`` are ``(R, n)``
+    columns.  ``len`` gives the row count R.
     """
 
     t: np.ndarray
@@ -67,22 +45,19 @@ class Records:
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, i: int) -> DecompositionRecord:
-        return DecompositionRecord(
-            **{name: col[i] if col.ndim == 2 else col.item(i) for name, col in vars(self).items()}
-        )
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+    def risk_bound(self) -> np.ndarray:
+        """Per-agent certified bound 2*bias + 4*variance + 4*network, ``(R, n)``."""
+        return 2.0 * self.bias_sq[:, None] + 4.0 * self.sample_var[:, None] + 4.0 * self.network_err
 
 
 def decompose(states, problem: SpectralProblem) -> Records:
     """Score a non-empty block of :class:`~gossipgd.engine.TrainState` against the oracle.
 
-    Row r scores ``states[r]``, bit for bit as a block of that state alone:
-    the per-agent fields are one matrix-vector product per state and
-    ``bias_sq`` and ``sample_var`` one ``(1, d) @ (d,)`` product per state,
-    which gives the bits of ``np.dot(tau, row)``.
+    Returns one :class:`Records` table whose row r scores ``states[r]``, bit
+    for bit as a block of that state alone: the per-agent fields are one
+    matrix-vector product per state and ``bias_sq`` and ``sample_var`` one
+    ``(1, d) @ (d,)`` product per state, which gives the bits of
+    ``np.dot(tau, row)``.
     """
     tau = problem.tau
     target = problem.target

@@ -459,8 +459,13 @@ def summarize(paths, group_by=("n", "m"), slope_axis: str | None = None) -> Summ
     'nm', 'm', or 'n' (groups must expose the needed columns).
     """
     group_by = tuple(group_by)
-    if slope_axis is not None and slope_axis not in ("nm", "m", "n"):
-        raise ValueError("slope_axis must be one of 'nm', 'm', 'n'")
+    if slope_axis is not None:
+        if slope_axis not in ("nm", "m", "n"):
+            raise ValueError("slope_axis must be one of 'nm', 'm', 'n'")
+        axis_columns = ("n", "m") if slope_axis == "nm" else (slope_axis,)  # x is their product
+        if not set(axis_columns) <= set(group_by):
+            needed = " and ".join(axis_columns)
+            raise ValueError(f"slope over {slope_axis} needs {needed} in group_by")
 
     finals = []
     schema = None
@@ -492,16 +497,7 @@ def summarize(paths, group_by=("n", "m"), slope_axis: str | None = None) -> Summ
 
     slope = None
     if slope_axis is not None:
-        xs = []
-        for entry in out_rows:
-            if slope_axis == "nm":
-                if "n" not in entry or "m" not in entry:
-                    raise ValueError("slope over nm needs grouping by n and m")
-                xs.append(entry["n"] * entry["m"])
-            else:
-                if slope_axis not in entry:
-                    raise ValueError(f"slope over {slope_axis} needs it in group_by")
-                xs.append(entry[slope_axis])
+        xs = [math.prod(entry[k] for k in axis_columns) for entry in out_rows]
         ys = [entry["excess_mean"] for entry in out_rows]
         slope = fit_loglog_slope(xs, ys)
 

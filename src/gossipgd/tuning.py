@@ -122,8 +122,9 @@ def tune_plan(
     gap = 1.0 - sigma2
     single = nm ** (1.0 / (2.0 * r + gamma))
     conc_threshold = float(n) ** (2.0 * r / gamma)
+    concentrated = m >= conc_threshold * (1.0 - 1e-12)
 
-    if m >= conc_threshold * (1.0 - 1e-12):
+    if concentrated:
         raw = (nm ** (2.0 * r / (2.0 * r + gamma)) / (m * gap**gamma)) ** (1.0 / gamma)
         factor = max(raw, 1.0)
         saturated = raw <= 1.0
@@ -139,18 +140,18 @@ def tune_plan(
         higher_threshold = float(n) ** ((2.0 * r + 2.0 + gamma) / (2.0 * r + gamma - 2.0))
     else:
         higher_threshold = 1.0 if n == 1 else math.inf
+    plentiful = m >= higher_threshold * (1.0 - 1e-12)
 
-    if m >= conc_threshold * (1.0 - 1e-12):
-        if saturated and m >= higher_threshold * (1.0 - 1e-12):
-            regime = "big_data_concentration"
-        else:
-            regime = "concentration_limited"
-    else:
+    if not concentrated:
         regime = "consensus_limited"
+    elif saturated and plentiful:
+        regime = "big_data_concentration"
+    else:
+        regime = "concentration_limited"
 
     t_star = mixing_cutoff(r, max(t_stop, 2), sigma2)
     preconditions = {
-        "m >= n^((2r+2+gamma)/(2r+gamma-2))": bool(m >= higher_threshold * (1.0 - 1e-12)),
+        "m >= n^((2r+2+gamma)/(2r+gamma-2))": bool(plentiful),
         "n >= 2(1+r) log(n/(1-sigma2))": bool(
             n >= 2.0 * (1.0 + r) * math.log(n / gap) - 1e-12
         ),

@@ -33,6 +33,7 @@ def complete_uniform(n):
 #
 # The heavier runs are module-scoped so the risk-bound sweep (check 04) can
 # audit every record that the other checks produced without re-running them.
+# Each returns its runs' Records, one table of columns per run.
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +99,7 @@ def path_sum_instances():
 
         result = g.run(prob, data, P, sched, updates + 1, stride=updates + 1)
         final = result.final
-        records.extend(result.records)
+        records.append(result.records)
         for v in range(n):
             dev = final.local[v] - final.pooled
             pvec = final.popcov_state[v] - final.popcov_avg
@@ -133,8 +134,8 @@ def tuned_sweep(d, ms=(128, 256, 512, 1024), replicates=20, seed_base=1234):
             result = g.run(
                 prob, data, P, g.StepSchedule(plan.eta), plan.t_stop + 1, stride=plan.t_stop + 1
             )
-            finals.append(float(result.records[-1].excess.mean()))
-            records.extend(result.records)
+            finals.append(float(result.records.excess[-1].mean()))
+            records.append(result.records)
         means.append(float(np.mean(finals)))
     slope, _, r_sq = g.fit_loglog_slope([n * m for m in ms], means)
     return slope, r_sq, time.perf_counter() - t0, records
@@ -166,8 +167,8 @@ def network_error_curve():
             seed = g.derive_seed(99, idx, rep)
             data = [g.sample_agent_data(prob, m, v, seed) for v in range(n)]
             result = g.run(prob, data, P, g.StepSchedule(eta), T, stride=T)
-            vals.append(float(result.records[-1].network_err.mean()))
-            records.extend(result.records)
+            vals.append(float(result.records.network_err[-1].mean()))
+            records.append(result.records)
         means.append(float(np.mean(vals)))
     slope, _, r_sq = g.fit_loglog_slope(ms, means)
     return slope, r_sq, time.perf_counter() - t0, records
@@ -215,7 +216,7 @@ def test_03_deviation_matches_path_sum_oracle(path_sum_instances, capsys):
     )
     assert worst <= 1e-9
     assert elapsed < 10.0
-    assert len(records) == 100
+    assert sum(map(len, records)) == 100
 
 
 def test_04_risk_bound_holds_at_every_recorded_iteration(
@@ -227,8 +228,7 @@ def test_04_risk_bound_holds_at_every_recorded_iteration(
     network_error_curve,
     capsys,
 ):
-    pool = list(equivalence_run[2])
-    pool += contraction_run[3]
+    pool = [equivalence_run[2], contraction_run[3]]
     pool += path_sum_instances[2]
     pool += tuned_rate_curve[3]
     pool += tuned_rate_control_curve[3]
@@ -240,19 +240,19 @@ def test_04_risk_bound_holds_at_every_recorded_iteration(
     P = cycle(8)
     for variant in ("gossip_after_gradient", "gossip_before_gradient"):
         sched = g.StepSchedule(0.15, theta=0.25)
-        pool += g.run(prob, data, P, sched, 150, variant=variant).records
+        pool.append(g.run(prob, data, P, sched, 150, variant=variant).records)
 
     worst = -math.inf
     checked = 0
-    for rec in pool:
-        slack = rec.excess - rec.risk_bound()
+    for records in pool:
+        slack = records.excess - records.risk_bound()
         worst = max(worst, float(slack.max()))
         checked += slack.size
     ok = worst <= 1e-9
     report(
         capsys, "A4", ok,
         f"worst excess-minus-bound {worst:.3e} over {checked} (iteration, agent) "
-        f"pairs from {len(pool)} records (slack 1e-9)",
+        f"pairs from {sum(map(len, pool))} records (slack 1e-9)",
     )
     assert worst <= 1e-9
     assert checked > 1000

@@ -49,20 +49,20 @@ def test_decompose_matches_direct_formulas():
         popcov_state=pc_state,
         popcov_avg=pc_avg,
     )
-    rec = decompose([state], prob)[0]  # a block of one state
-    assert rec.t == 7
+    rec = decompose([state], prob)  # a block of one state: row 0
+    assert len(rec) == 1 and rec.t.tolist() == [7]
     for v in range(2):
-        assert rec.excess[v] == pytest.approx(tau @ (local[v] - target) ** 2, rel=1e-15)
-        assert rec.network_err[v] == pytest.approx(tau @ (local[v] - pooled) ** 2, rel=1e-15)
+        assert rec.excess[0, v] == pytest.approx(tau @ (local[v] - target) ** 2, rel=1e-15)
+        assert rec.network_err[0, v] == pytest.approx(tau @ (local[v] - pooled) ** 2, rel=1e-15)
         pvec = pc_state[v] - pc_avg
-        assert rec.popcov_err[v] == pytest.approx(tau @ pvec**2, rel=1e-15)
+        assert rec.popcov_err[0, v] == pytest.approx(tau @ pvec**2, rel=1e-15)
         rvec = (local[v] - pooled) - pvec
-        assert rec.residual_err[v] == pytest.approx(tau @ rvec**2, rel=1e-15)
-    assert rec.bias_sq == pytest.approx(tau @ (population - target) ** 2, rel=1e-15)
-    assert rec.sample_var == pytest.approx(tau @ (pooled - population) ** 2, rel=1e-15)
+        assert rec.residual_err[0, v] == pytest.approx(tau @ rvec**2, rel=1e-15)
+    assert rec.bias_sq[0] == pytest.approx(tau @ (population - target) ** 2, rel=1e-15)
+    assert rec.sample_var[0] == pytest.approx(tau @ (pooled - population) ** 2, rel=1e-15)
     center = local.mean(axis=0)
     worst = max(np.linalg.norm(local[v] - center) for v in range(2))
-    assert rec.consensus_err == pytest.approx(worst, rel=1e-15)
+    assert rec.consensus_err[0] == pytest.approx(worst, rel=1e-15)
 
 
 def test_decompose_zero_state():
@@ -75,12 +75,13 @@ def test_decompose_zero_state():
         popcov_state=np.zeros((3, 4)),
         popcov_avg=np.zeros(4),
     )
-    rec = decompose([state], prob)[0]  # a block of one state
+    rec = decompose([state], prob)  # a block of one state: row 0
     start_risk = float(prob.tau @ prob.target**2)
-    assert rec.bias_sq == pytest.approx(start_risk, rel=1e-15)
+    assert rec.bias_sq[0] == pytest.approx(start_risk, rel=1e-15)
+    assert rec.excess.shape == (1, 3)
     assert np.allclose(rec.excess, start_risk, rtol=1e-15)
-    assert rec.sample_var == 0.0
-    assert rec.consensus_err == 0.0
+    assert rec.sample_var[0] == 0.0
+    assert rec.consensus_err[0] == 0.0
     assert np.all(rec.network_err == 0.0)
     assert np.all(rec.popcov_err == 0.0)
     assert np.all(rec.residual_err == 0.0)
@@ -110,30 +111,30 @@ def test_decompose_scalars_equal_one_dot_per_row(d):
     assert np.array_equal(records.sample_var, [np.dot(prob.tau, g * g) for g in gap_pool])
 
 
-def test_records_are_read_only_columns_with_rows():
+def test_records_are_read_only_columns():
     prob, data, P = small_instance(seed=1)
     records = run(prob, data, P, StepSchedule(0.05), T=20, stride=3).records
     assert records.t.tolist() == [3, 6, 9, 12, 15, 18, 20]
-    assert records.excess.shape == (7, 3) and records.bias_sq.shape == (7,)
-    assert len(records) == 7 and len(list(records)) == 7
-    last = records[-1]
-    assert type(last.t) is int and last.t == 20
-    for name in ("bias_sq", "sample_var", "consensus_err"):
-        assert type(getattr(last, name)) is float
-        assert getattr(last, name) == getattr(records, name)[-1]
-    assert np.array_equal(last.excess, records.excess[-1])
-    with pytest.raises(ValueError):
-        records.excess[0, 0] = 0.0
-    with pytest.raises(IndexError):
-        records[7]
+    assert len(records) == 7
+    per_agent = ("excess", "network_err", "popcov_err", "residual_err")
+    for name, column in vars(records).items():
+        assert column.shape == ((7, 3) if name in per_agent else (7,)), name
+        with pytest.raises(ValueError):
+            column[0] = 0
+    with pytest.raises(TypeError):
+        records[-1]  # no row view: read a column at a row index
 
 
 def test_risk_bound_combination():
+    # the (R, n) broadcast keeps, row by row, the bits of the per-row bound
+    # 2*bias_sq + 4*sample_var (Python floats) + 4*network_err
     prob, data, P = small_instance(seed=1)
-    result = run(prob, data, P, StepSchedule(0.05), T=20)
-    rec = result.records[-1]
-    expect = 2.0 * rec.bias_sq + 4.0 * rec.sample_var + 4.0 * rec.network_err
-    assert np.allclose(rec.risk_bound(), expect, rtol=1e-15)
+    recs = run(prob, data, P, StepSchedule(0.05), T=20).records
+    bound = recs.risk_bound()
+    assert bound.shape == recs.network_err.shape == (20, 3)
+    for r in range(len(recs)):
+        scalars = 2.0 * recs.bias_sq.item(r) + 4.0 * recs.sample_var.item(r)
+        assert np.array_equal(bound[r], scalars + 4.0 * recs.network_err[r])
 
 
 # ------------------------------------------------------------ popcov steps

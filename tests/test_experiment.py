@@ -336,6 +336,19 @@ def test_option_surface_demo_matches_golden_csv(tmp_path):
     assert out.read_bytes() == (DEMOS / "output" / "option_surface.csv").read_bytes()
 
 
+def test_sparse_auto_demo_matches_golden_csv(tmp_path):
+    """Pins tuned steps on a sparse random graph, byte for byte.
+
+    A random_regular graph (degree 3, topology seed 4) with the max_degree
+    weights and eta = auto, so each (n, m) point's step and stopping time
+    come from tune_plan on that graph's spectral gap, at n = 6 and 8, on
+    gaussian samples in stream (m = 8 < d) and dense (m = 32 >= d) mode.
+    """
+    cfg = load_config(DEMOS / "configs" / "sparse_auto.ini")
+    out = run_experiment(cfg, out_dir=tmp_path)
+    assert out.read_bytes() == (DEMOS / "output" / "sparse_auto.csv").read_bytes()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_failed_sweep_keeps_previous_csv(tmp_path, monkeypatch, threads):
     cfg = load_config(write_config(tmp_path))
@@ -525,17 +538,18 @@ def test_sweep_columns_reduce_each_record_in_dense_and_stream_mode(tmp_path, mon
         datasets = list(datasets)  # an iterable of agents, read twice here
         modes.append(experiment.engine.AgentStats.from_data(datasets).mode)
         result = run(problem, datasets, *args, **kwargs)
-        records.extend(result.records)
+        records.append(result.records)
         return result
 
     monkeypatch.setattr(experiment.engine, "run", capture)
     rows = read_rows(run_experiment(cfg, out_dir=tmp_path))
     assert modes == ["stream", "dense", "stream", "dense"]
-    assert len(rows) == len(records) == 4 * 4
-    for row, rec in zip(rows, records):
-        assert row["t"] == str(rec.t)
+    cells = [(recs, r) for recs in records for r in range(len(recs))]  # in CSV order
+    assert len(rows) == len(cells) == 4 * 4
+    for row, (recs, r) in zip(rows, cells):
+        assert row["t"] == str(recs.t[r])
         for name in ("excess", "network_err", "popcov_err", "residual_err"):
-            values = getattr(rec, name)
+            values = getattr(recs, name)[r]
             assert row[f"{name}_mean"] == repr(float(values.mean()))
             assert row[f"{name}_max"] == repr(float(values.max()))
 
