@@ -159,39 +159,37 @@ def test_mixed_sample_types_are_rejected(coordinate_first, feed):
         AgentStats.from_data(feed(agents))
 
 
-def one_nonzero_agents(kind, d, m, n, seed):
-    """n agents whose rows have at most one nonzero each."""
-    if kind == "coordinate":
-        prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5)
-        return [sample_agent_data(prob, m, v, seed) for v in range(n)]
-    # one-hot rows by hand: negative entries, zero rows and -0.0 entries
-    rng = np.random.default_rng(seed)
+# the (d, m) grid: m at, just above and twice d, and at least 1024
+ONE_NONZERO_GRID = [
+    (d, m) for d in (2, 3, 5, 16, 64, 512) for m in sorted({d, d + 1, 2 * d, max(1024, d)})
+]
+
+
+@pytest.mark.parametrize("d,m", ONE_NONZERO_GRID)
+def test_dense_reduction_of_coordinate_rows_carries_diag_bits(d, m):
+    # coordinate agents' rows as AgentData are reduced densely, and the dense
+    # x^T y and diagonal of x^T x carry the diag bits
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5)
+    assert_dense_carries_diag_bits([sample_agent_data(prob, m, v, seed=d + m) for v in range(3)])
+
+
+# the ids carry over from when this test also held the coordinate cases
+@pytest.mark.parametrize(
+    "d,m", ONE_NONZERO_GRID, ids=[f"{d}-{m}-one-hot" for d, m in ONE_NONZERO_GRID]
+)
+def test_dense_fallback_rebuilds_dropped_agents_bit_for_bit(d, m):
+    # one-hot rows by hand: negative entries, zero rows and -0.0 entries; the
+    # last agent has one two-nonzero row.  The dense reduction is, bit for
+    # bit, each agent's own einsum reductions, from a list and a generator
+    rng = np.random.default_rng(d + m)
     agents = []
-    for v in range(n):
+    for v in range(3):
         x = np.zeros((m, d))
         x[np.arange(m), rng.integers(0, d, m)] = rng.standard_normal(m)
         x[::7] = 0.0
         x[(x == 0.0) & (rng.random((m, d)) < 0.5)] = -0.0
         agents.append(AgentData(x=x, y=rng.standard_normal(m), agent_id=v))
-    return agents
-
-
-@pytest.mark.parametrize("kind", ["coordinate", "one-hot"])
-@pytest.mark.parametrize(
-    "d,m", [(d, m) for d in (2, 3, 5, 16, 64, 512) for m in sorted({d, d + 1, 2 * d, max(1024, d)})]
-)
-def test_dense_fallback_rebuilds_dropped_agents_bit_for_bit(kind, d, m):
-    # coordinate agents: their rows as AgentData are reduced densely, and
-    # the dense x^T y and diagonal of x^T x carry the diag bits; one-hot
-    # AgentData (the last agent with a two-nonzero row) is reduced densely,
-    # bit for bit each agent's own einsum reductions, list and generator alike
-    agents = one_nonzero_agents(kind, d, m, 3, seed=d + m)
-    if kind == "coordinate":
-        assert_dense_carries_diag_bits(agents)
-        return
-    x = agents[-1].x.copy()
-    x[-1, :2] = [1.0, -2.0]
-    agents[-1] = AgentData(x=x, y=agents[-1].y, agent_id=2)
+    agents[-1].x[-1, :2] = [1.0, -2.0]
     xy = np.stack([np.einsum("md,m->d", a.x, a.y) for a in agents]) / m
     cov = np.stack([np.einsum("md,me->de", a.x, a.x) for a in agents]) / m
     for stats in (AgentStats.from_data(agents), AgentStats.from_data(a for a in agents)):
@@ -380,8 +378,7 @@ def test_single_agent_equals_pooled():
     P = matrix("complete", 1)
     result = run(prob, datasets, P, StepSchedule(0.1), T=50)
     assert np.allclose(result.final.local[0], result.final.pooled, atol=1e-14)
-    for rec in result.records:
-        assert rec.network_err[0] <= 1e-28
+    assert np.all(result.records.network_err[:, 0] <= 1e-28)
 
 
 def test_noiseless_excess_is_monotone():
@@ -389,7 +386,7 @@ def test_noiseless_excess_is_monotone():
     datasets = [sample_agent_data(prob, 12, v, seed=5) for v in range(4)]
     P = matrix("complete", 4, scheme="uniform_complete")
     result = run(prob, datasets, P, StepSchedule(0.05), T=150)
-    excess = [rec.excess.mean() for rec in result.records]
+    excess = result.records.excess.mean(axis=1)
     assert np.all(np.diff(excess) <= 1e-15)
 
 
@@ -403,21 +400,21 @@ def test_record_stride_semantics():
     sched = StepSchedule(0.1)
 
     single = run(prob, datasets, P, sched, T=1)
-    assert [rec.t for rec in single.records] == [1]
-    assert single.records[0].sample_var == 0.0
+    assert single.records.t.tolist() == [1]
+    assert single.records.sample_var[0] == 0.0
     assert np.all(single.final.local == 0.0)
 
     spaced = run(prob, datasets, P, sched, T=100, stride=10)
-    assert [rec.t for rec in spaced.records] == list(range(10, 101, 10))
+    assert spaced.records.t.tolist() == list(range(10, 101, 10))
 
     ragged = run(prob, datasets, P, sched, T=7, stride=3)
-    assert [rec.t for rec in ragged.records] == [3, 6, 7]
+    assert ragged.records.t.tolist() == [3, 6, 7]
 
 
-def assert_same_bits(rec, ref):
-    for f in dataclasses.fields(rec):
-        got, want = getattr(rec, f.name), getattr(ref, f.name)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+def assert_same_bits(records, row, ref, ref_row):
+    # row `row` of records holds, column by column, the bits of row `ref_row` of ref
+    for name, column in vars(records).items():
+        assert column[row].tobytes() == getattr(ref, name)[ref_row].tobytes(), (name, row)
 
 
 # (sampler, m, eta that diverges within 200 updates) on a 6-cycle with d = 16:
@@ -433,9 +430,9 @@ def test_stride_records_equal_stride_one_records(sampler, m, diverging_eta):
 
     every = run(prob, datasets, P, StepSchedule(0.05), T=60).records
     spaced = run(prob, datasets, P, StepSchedule(0.05), T=60, stride=7).records
-    assert [rec.t for rec in spaced] == list(range(7, 57, 7)) + [60]
-    for rec in spaced:
-        assert_same_bits(rec, every[rec.t - 1])
+    assert spaced.t.tolist() == list(range(7, 57, 7)) + [60]
+    for row, t in enumerate(spaced.t.tolist()):
+        assert_same_bits(spaced, row, every, t - 1)
 
     # a diverged run's records end at the last finite state, whatever the stride
     errors = []
@@ -448,9 +445,9 @@ def test_stride_records_equal_stride_one_records(sampler, m, diverging_eta):
     every, spaced = errors
     last = every.iteration - 1
     assert spaced.iteration == every.iteration and last % 7 != 0
-    assert [rec.t for rec in spaced.records] == list(range(7, last, 7)) + [last]
-    for rec in spaced.records:
-        assert_same_bits(rec, every.records[rec.t - 1])
+    assert spaced.records.t.tolist() == list(range(7, last, 7)) + [last]
+    for row, t in enumerate(spaced.records.t.tolist()):
+        assert_same_bits(spaced.records, row, every.records, t - 1)
 
 
 def reference_step(state, stats, prob, P, eta, variant):
@@ -531,9 +528,10 @@ def test_block_records_equal_states_scored_alone(sampler, m, diverging_eta):
 
     states = []
     records = run(prob, datasets, P, StepSchedule(0.05), T=100, observer=states.append).records
-    assert len(records) == 100 and len(records) > block and len(records) % block != 0
-    for state, rec in zip(states, records, strict=True):
-        assert_same_bits(rec, decompose([state], prob)[0])
+    assert len(records) == len(states) == 100
+    assert len(records) > block and len(records) % block != 0
+    for row, state in enumerate(states):
+        assert_same_bits(records, row, decompose([state], prob), 0)
 
     states = []
     with warnings.catch_warnings():
@@ -542,9 +540,10 @@ def test_block_records_equal_states_scored_alone(sampler, m, diverging_eta):
             run(prob, datasets, P, StepSchedule(diverging_eta), T=400, observer=states.append)
     records = info.value.records
     assert len(records) > block and len(records) % block != 0  # diverged mid-block
-    assert [rec.t for rec in records] == list(range(1, info.value.iteration))
-    for state, rec in zip(states, records, strict=True):
-        assert_same_bits(rec, decompose([state], prob)[0])
+    assert records.t.tolist() == list(range(1, info.value.iteration))
+    assert len(states) == len(records)
+    for row, state in enumerate(states):
+        assert_same_bits(records, row, decompose([state], prob), 0)
 
 
 def test_run_holds_its_records_once():
@@ -571,8 +570,7 @@ def test_one_agent_has_no_network_error(sampler, m):
     P = matrix("complete", 1, scheme="uniform_complete")
     records = run(prob, datasets, P, StepSchedule(0.05), T=60).records
     assert len(records) == 60
-    for rec in records:
-        assert np.all(rec.network_err == 0.0), rec.t
+    assert np.all(records.network_err == 0.0), records.t[records.network_err.any(axis=1)]
 
 
 SQUARED_ERRORS = ("excess", "bias_sq", "sample_var", "network_err", "popcov_err", "residual_err")
@@ -587,11 +585,11 @@ def test_doubling_the_radius_scales_noiseless_errors_exactly(sampler, m):
         prob = make_problem(16, 0.5, 1.0, R=R, sampler=sampler)
         datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(6)]
         runs.append(run(prob, datasets, matrix("cycle", 6), StepSchedule(0.05), T=60).records)
-    for one, two in zip(*runs):
-        assert two.t == one.t
-        for name in SQUARED_ERRORS:
-            assert np.array_equal(getattr(two, name), 4.0 * np.asarray(getattr(one, name))), name
-        assert two.consensus_err == 2.0 * one.consensus_err
+    one, two = runs
+    assert np.array_equal(two.t, one.t)
+    for name in SQUARED_ERRORS:
+        assert np.array_equal(getattr(two, name), 4.0 * getattr(one, name)), name
+    assert np.array_equal(two.consensus_err, 2.0 * one.consensus_err)
 
 
 @pytest.mark.parametrize("sampler,m", [mode[:2] for mode in STRIDE_MODES])
@@ -680,10 +678,10 @@ def test_nonfinite_or_huge_iterates_diverge_at_the_next_iteration(start):
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
         run(prob, datasets, P, StepSchedule(0.1), T=5, initial_local=np.full((2, 2), start))
     assert info.value.iteration == 2
-    assert [rec.t for rec in info.value.records] == [1]
+    assert info.value.records.t.tolist() == [1]
     # a start of norm 0.5e12 stays under DIVERGENCE_NORM and runs through
     result = run(prob, datasets, P, StepSchedule(0.1), T=5, initial_local=np.full((2, 2), 0.25e12))
-    assert [rec.t for rec in result.records] == [1, 2, 3, 4, 5]
+    assert result.records.t.tolist() == [1, 2, 3, 4, 5]
 
 
 def test_large_step_warns_and_boundary_does_not():
