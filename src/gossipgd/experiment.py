@@ -14,7 +14,6 @@ import configparser
 import hashlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields
 from itertools import chain, product, repeat
 from pathlib import Path
@@ -328,17 +327,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", threads: int = 1) -> Path
     # rows stream to a temp file in sweep order; it replaces out_path only
     # once every job has finished, so a failed sweep leaves no truncated CSV
     tmp_path = out_path.with_name(f".{out_path.name}.tmp")
-    try:
-        with ThreadPoolExecutor(max_workers=threads) as pool, open(
-            tmp_path, "w", encoding="utf-8", newline="\n"
-        ) as fh:
-            blocks = map(work, jobs) if threads == 1 else pool.map(work, jobs)
+
+    def write(blocks):
+        with open(tmp_path, "w", encoding="utf-8", newline="\n") as fh:
             for line in _config_echo(cfg):
                 fh.write(line + "\n")
             fh.write(",".join(RUN_RECORD_COLUMNS) + "\n")
             # each job's lines are written as they are joined, and dropped
             # before the next job runs
             fh.writelines(chain.from_iterable(blocks))
+
+    try:
+        if threads == 1:  # no pool, and no import of concurrent.futures
+            write(map(work, jobs))
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                write(pool.map(work, jobs))
         os.replace(tmp_path, out_path)
     except BaseException:
         tmp_path.unlink(missing_ok=True)

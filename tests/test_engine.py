@@ -173,11 +173,8 @@ def test_dense_reduction_of_coordinate_rows_carries_diag_bits(d, m):
     assert_dense_carries_diag_bits([sample_agent_data(prob, m, v, seed=d + m) for v in range(3)])
 
 
-# the ids carry over from when this test also held the coordinate cases
-@pytest.mark.parametrize(
-    "d,m", ONE_NONZERO_GRID, ids=[f"{d}-{m}-one-hot" for d, m in ONE_NONZERO_GRID]
-)
-def test_dense_fallback_rebuilds_dropped_agents_bit_for_bit(d, m):
+@pytest.mark.parametrize("d,m", ONE_NONZERO_GRID)
+def test_one_hot_agent_data_reduces_densely_bit_for_bit(d, m):
     # one-hot rows by hand: negative entries, zero rows and -0.0 entries; the
     # last agent has one two-nonzero row.  The dense reduction is, bit for
     # bit, each agent's own einsum reductions, from a list and a generator
@@ -214,19 +211,23 @@ def test_coordinate_sampling_never_builds_the_samples():
 
 
 @pytest.mark.parametrize(
-    "sampler,mode,m,d,copies",
+    "sampler,mode,n,m,d,copies",
     [
-        pytest.param("gaussian", "dense", 4096, 64, 1, id="gaussian-dense"),
-        pytest.param("coordinate", "diag", 4096, 64, 1, id="coordinate-diag"),
+        pytest.param("gaussian", "dense", 8, 4096, 64, 1, id="gaussian-dense"),
+        pytest.param("coordinate", "diag", 8, 4096, 64, 1, id="coordinate-diag"),
         # with d > m the per-agent moments and their stack, two copies of the
         # statistics, outweigh the samples
-        pytest.param("coordinate", "diag", 2048, 4096, 2, id="coordinate-diag-d-above-m"),
+        pytest.param("coordinate", "diag", 8, 2048, 4096, 2, id="coordinate-diag-d-above-m"),
+        # 130 KiB of statistics, below the 256 KiB from which NumPy elides a
+        # division's temporary: the per-agent moments and a stack divided in
+        # place are 2.0x the statistics, a stack divided out of place 3.0x,
+        # and 2 * samples is 1.0x
+        pytest.param("gaussian", "dense", 4, 128, 64, 1.2, id="gaussian-dense-in-place"),
     ],
 )
-def test_stats_hold_one_agent_at_a_time(sampler, mode, m, d, copies):
+def test_stats_hold_one_agent_at_a_time(sampler, mode, n, m, d, copies):
     # each agent is reduced and dropped before the next one is drawn,
     # whether m >= d or not
-    n = 8
     prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
     first = sample_agent_data(prob, m, 0, seed=9)
     samples = sum(a.nbytes for a in vars(first).values() if isinstance(a, np.ndarray))
@@ -241,6 +242,38 @@ def test_stats_hold_one_agent_at_a_time(sampler, mode, m, d, copies):
     # the held samples alone would take n * samples
     statistics = sum(a.nbytes for a in vars(stats).values() if isinstance(a, np.ndarray))
     assert peak < 2 * samples + copies * statistics
+
+
+@pytest.mark.parametrize(
+    "sampler,mode,n,m,d",
+    [
+        ("coordinate", "diag", 3, 64, 16),
+        ("gaussian", "dense", 3, 64, 16),
+        ("gaussian", "stream", 3, 16, 64),
+        pytest.param("gaussian", "dense", 32, 128, 64, id="gaussian-dense-1MiB"),
+    ],
+)
+def test_stats_start_on_cache_lines(sampler, mode, n, m, d):
+    # every statistic is stacked once into a buffer on a 64-byte boundary,
+    # and is, bit for bit, the per-agent moments stacked and divided by m
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
+    agents = [sample_agent_data(prob, m, v, seed=4) for v in range(n)]
+    stats = AgentStats.from_data(agents)
+    assert stats.mode == mode
+    if mode == "diag":
+        xy, second = zip(*map(engine._diag_moments, agents))
+    else:
+        xy, second = zip(*(engine._moments(a, mode == "dense") for a in agents))
+    want = {"xy": np.stack(xy) / m}
+    if mode == "stream":
+        want["x"] = np.stack(second)
+    else:
+        want["cov_diag" if mode == "diag" else "cov"] = np.stack(second) / m
+    for name, a in vars(stats).items():
+        if isinstance(a, np.ndarray):
+            assert a.ctypes.data % 64 == 0, name
+            assert np.array_equal(bits(a), bits(want.pop(name))), name
+    assert not want
 
 
 def test_diag_moments_do_not_copy_the_picks():

@@ -1,6 +1,9 @@
 """Config parsing, the sweep runner, CSV output, and summaries."""
 
 import csv
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from gossipgd import derive_seed, experiment, load_config, run_experiment, summa
 from gossipgd.experiment import RUN_RECORD_COLUMNS, SCHEMA_VERSION
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+SRC = DEMOS.parent / "src"
 
 BASE_CONFIG = """
 [problem]
@@ -395,6 +399,27 @@ def test_sweep_holds_one_jobs_lines_at_a_time(tmp_path):
     one_job, two_jobs = peaks
     assert len(read_rows(out)) == 2 * 401
     assert two_jobs < one_job + out.stat().st_size / 2 / 8
+
+
+def test_one_thread_builds_no_pool(tmp_path):
+    # threads = 1, the default here and on the command line, runs the jobs in
+    # the calling thread without importing concurrent.futures
+    config = write_config(tmp_path)
+    script = (
+        "import sys\n"
+        "import gossipgd\n"
+        "from gossipgd import load_config, run_experiment\n"
+        f"run_experiment(load_config({str(config)!r}), {str(tmp_path)!r}, threads=1)\n"
+        "print(sorted(name for name in sys.modules if name.startswith('concurrent')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert len(read_rows(tmp_path / "results.csv")) == 4 * 3 * 4  # points x replicates x rows
 
 
 def test_run_experiment_rejects_bad_threads(tmp_path):
