@@ -173,8 +173,11 @@ def test_dense_reduction_of_coordinate_rows_carries_diag_bits(d, m):
     assert_dense_carries_diag_bits([sample_agent_data(prob, m, v, seed=d + m) for v in range(3)])
 
 
-@pytest.mark.parametrize("d,m", ONE_NONZERO_GRID)
-def test_one_hot_agent_data_reduces_densely_bit_for_bit(d, m):
+# the ids carry over from when this test also held the coordinate cases
+@pytest.mark.parametrize(
+    "d,m", ONE_NONZERO_GRID, ids=[f"{d}-{m}-one-hot" for d, m in ONE_NONZERO_GRID]
+)
+def test_dense_fallback_rebuilds_dropped_agents_bit_for_bit(d, m):
     # one-hot rows by hand: negative entries, zero rows and -0.0 entries; the
     # last agent has one two-nonzero row.  The dense reduction is, bit for
     # bit, each agent's own einsum reductions, from a list and a generator
