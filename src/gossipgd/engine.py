@@ -13,18 +13,23 @@ Keeping them in lockstep is what makes the error decomposition in
 
 :func:`run` advances all four in one fused step per iteration, computing
 the step-size factors once per step size (once per run when ``theta = 0``).
-The public one-step helpers (:func:`dgd_step`, :func:`single_machine_step`,
+The half of the step that reads no iterate (population, noise terms,
+popcov_avg increments) is computed a block of steps ahead.  The public
+one-step helpers (:func:`dgd_step`, :func:`single_machine_step`,
 :func:`population_step`, :func:`noise_terms` and
 :func:`gossipgd.diagnostics.popcov_step`) are its reference: the fused step
-evaluates each of their expressions in the same order, so every state
-:func:`run` reaches is their step from the state before, bit for bit.
+evaluates each of their expressions in the same order, in a block or not,
+so every state :func:`run` reaches is their step from the state before,
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections.abc import Iterable
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,15 +104,14 @@ class AgentStats:
         The type of the agents picks the mode: ``CoordinateData`` gives
         ``diag``, ``AgentData`` gives ``dense`` when m >= d and ``stream``
         otherwise.  Mixing the two types is an error.  Every agent is checked
-        and reduced when it arrives and then dropped; only the stream mode
-        keeps its ``x``.  Each statistic is then stacked once, on a 64-byte
-        boundary, and divided by m in place: the bits of
-        ``np.stack(...) / m`` without the temporary that NumPy elides only
-        above 256 KiB, so the peak holds the per-agent moments and one
-        stack, not two.
+        and reduced when it arrives, written into the stacks and dropped;
+        only the stream mode keeps its ``x``.  Each stack is allocated for
+        the iterable's ``operator.length_hint`` on a 64-byte boundary and
+        divided by m in place at the end: the bits of ``np.stack(...) / m``
+        at a peak of one stack and one agent, not two stacks.
         """
-        shape = coordinate = None
-        moments = []  # per agent: x^T y, and diag(x^T x), x^T x or x by mode
+        shape = coordinate = stacks = None
+        capacity = operator.length_hint(datasets)
         for data in datasets:
             agent_shape = _sample_shape(data)
             if shape is None:
@@ -128,25 +132,34 @@ class AgentStats:
                 raise ValueError(
                     f"agent {data.agent_id} holds {m} samples but y has shape {np.shape(data.y)}"
                 )
-            moments.append(_diag_moments(data) if coordinate else _moments(data, m >= d))
-            del data  # the next agent is drawn without this one alive
+            # x^T y, and diag(x^T x), x^T x or x by mode; only x is not divided by m
+            moments = _diag_moments(data) if coordinate else _moments(data, m >= d)
+            if stacks is None:
+                divisors = (m, m if coordinate or m >= d else None)
+                stacks = [_Stack(row, capacity, q) for row, q in zip(moments, divisors)]
+            for stack, row in zip(stacks, moments):
+                stack.append(row)
+            del data, moments, row  # the next agent is drawn without this one alive
         if shape is None:
             raise ValueError("need at least one agent")
         m, d = shape
-        xy, second = zip(*moments)
-        xy = _stack_aligned(xy, m)
+        xy, second = (stack.done() for stack in stacks)
         if coordinate:
-            return cls(xy=xy, mode="diag", cov_diag=_stack_aligned(second, m))
+            return cls(xy=xy, mode="diag", cov_diag=second)
         if m >= d:
-            return cls(xy=xy, mode="dense", cov=_stack_aligned(second, m))
-        return cls(xy=xy, mode="stream", x=_stack_aligned(second))
+            return cls(xy=xy, mode="dense", cov=second)
+        return cls(xy=xy, mode="stream", x=second)
 
     @property
     def n(self) -> int:
         return self.xy.shape[0]
 
     def gradients(self, W: np.ndarray) -> np.ndarray:
-        """Per-agent gradients (n, d) at per-agent points W (n, d) or one shared point W (d,)."""
+        """Per-agent gradients (n, d) at per-agent points W (n, d) or one shared point W (d,).
+
+        A stack of K shared points W (K, 1, d) gives (K, n, d), each of the
+        K slices with the bits of its point's own call.
+        """
         if self.mode == "diag":
             return self.cov_diag * W - self.xy
         if self.mode == "dense":
@@ -159,23 +172,56 @@ class AgentStats:
 _CACHE_LINE = 64
 
 
-def _stack_aligned(arrays, divisor=None):
-    """Stack ``arrays`` once, into a buffer that starts on a cache line.
+class _Stack:
+    """One statistic, stacked a row at a time on a cache line.
 
-    With a ``divisor`` the stack is divided by it in place: the bits of
-    ``np.stack(arrays) / divisor`` without a second copy.
+    A full buffer doubles by reallocation (``ndarray.resize``), so old and
+    new are never both held; :meth:`done` cuts it to its rows and moves
+    them back onto the boundary if a reallocation moved the buffer.  The
+    dtype is the one ``np.stack(rows) / divisor`` would have.
     """
-    dtype = np.result_type(*{a.dtype for a in arrays})
-    if divisor is not None:
-        dtype = np.result_type(dtype, 1.0)  # what the division would return
-    shape = (len(arrays), *arrays[0].shape)
-    nbytes = math.prod(shape) * dtype.itemsize
-    raw = np.empty(nbytes + _CACHE_LINE, np.uint8)
-    start = -raw.ctypes.data % _CACHE_LINE
-    out = np.stack(arrays, out=raw[start : start + nbytes].view(dtype).reshape(shape))
-    if divisor is not None:
-        out /= divisor
-    return out
+
+    def __init__(self, row, capacity, divisor=None):
+        self.shape, self.rows, self.capacity, self.divisor = row.shape, 0, max(capacity, 1), divisor
+        self.dtype = np.result_type(row.dtype, 1.0) if divisor is not None else row.dtype
+        self._allocate()
+
+    def _nbytes(self, rows):
+        return rows * math.prod(self.shape) * self.dtype.itemsize
+
+    def _allocate(self):
+        self.raw = np.empty(self._nbytes(self.capacity) + _CACHE_LINE, np.uint8)
+        self.start = -self.raw.ctypes.data % _CACHE_LINE
+
+    def _view(self, rows):
+        raw = self.raw[self.start : self.start + self._nbytes(rows)]
+        return raw.view(self.dtype).reshape(rows, *self.shape)
+
+    def append(self, row):
+        dtype = np.result_type(self.dtype, row.dtype)
+        full = self.rows == self.capacity
+        if full:
+            self.capacity *= 2
+        if dtype != self.dtype:  # a wider row recasts the rows so far, as np.stack would
+            rows, self.dtype = self._view(self.rows), dtype
+            self._allocate()
+            self._view(self.rows)[...] = rows
+        elif full:
+            self.raw.resize(self._nbytes(self.capacity) + _CACHE_LINE)
+        self._view(self.rows + 1)[-1] = row
+        self.rows += 1
+
+    def done(self):
+        nbytes = self._nbytes(self.rows)
+        self.raw.resize(nbytes + _CACHE_LINE)
+        start = -self.raw.ctypes.data % _CACHE_LINE
+        if start != self.start:  # an overlapping one-dimensional copy moves the bytes in place
+            self.raw[start : start + nbytes] = self.raw[self.start : self.start + nbytes]
+            self.start = start
+        out = self._view(self.rows)
+        if self.divisor is not None:
+            out /= self.divisor
+        return out
 
 
 def _sample_shape(data: AgentData | CoordinateData) -> tuple[int, int]:
@@ -265,6 +311,49 @@ def noise_terms(population: np.ndarray, stats: AgentStats, problem: SpectralProb
     return pop_grad[None, :] - stats.gradients(population)
 
 
+class _Counted:
+    """Agents whose count is known before they are drawn (``operator.length_hint``)."""
+
+    def __init__(self, agents, count):
+        self.agents, self.count = agents, count
+
+    def __iter__(self):
+        return iter(self.agents)
+
+    def __length_hint__(self):
+        return self.count
+
+
+def _population_block(stats, problem, population, steps):
+    """The half of K = ``len(steps)`` fused steps that reads no iterate.
+
+    Returns the population after each step (K, d), each step's
+    ``eta * noise`` (K, n, d) and popcov_avg increment (K, d).  The path is
+    its own sequential recursion and one ``gradients`` call on its stacked
+    (K, 1, d) points gives every step's noise, each expression as the
+    fused step has it, so no bit moves.
+    """
+    tau, target, K = problem.tau, problem.target, len(steps)
+    if steps.count(steps[0]) == K:  # one step size: its factors are scalars, computed once
+        eta = eta_rows = steps[0]
+        eta_taus = [eta * tau] * K
+    else:
+        eta = np.array(steps)[:, None, None]
+        eta_rows = eta[:, :, 0]
+        eta_taus = eta_rows * tau
+    path = np.empty((K + 1, problem.d))
+    path[0] = population
+    gap = np.empty((K, problem.d))
+    for now, later, gap_now, eta_tau in zip(path, path[1:], gap, eta_taus):
+        np.subtract(now, target, out=gap_now)
+        np.subtract(now, eta_tau * gap_now, out=later)
+    noise = stats.gradients(path[:-1, None, :])
+    np.subtract((tau * gap)[:, None, :], noise, out=noise)
+    increment = eta_rows * (np.add.reduce(noise, 1) / stats.n)
+    noise *= eta
+    return path[1:], noise, increment
+
+
 def run(
     problem: SpectralProblem,
     datasets: Iterable[AgentData | CoordinateData],
@@ -290,6 +379,13 @@ def run(
     block, and copied into the run's record columns, which are allocated
     once; they are returned as one columnar
     :class:`~gossipgd.diagnostics.Records`.
+
+    The population side of the step, which reads no iterate, is computed
+    by :func:`_population_block` as many steps ahead as a record block
+    holds (at least one, never past T); the states keep their bits.  A
+    block that raises a floating-point overflow or invalid operation is
+    dropped, and the run goes on a step at a time, so it warns about the
+    steps it reaches and no others.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -298,7 +394,7 @@ def run(
     if variant not in PROTOCOL_VARIANTS:
         raise ValueError(f"unknown protocol variant {variant!r}")
 
-    stats = AgentStats.from_data(datasets)
+    stats = AgentStats.from_data(_Counted(datasets, P.n))
     n, d = stats.n, problem.d
     if P.n != n:
         raise ValueError(f"gossip matrix is {P.n}x{P.n} but there are {n} agents")
@@ -349,10 +445,16 @@ def run(
     def records():
         return diagnostics.Records(**{name: col[:filled] for name, col in columns.items()})
 
-    tau, target, gossip = problem.tau, problem.target, P.entries
+    tau, gossip = problem.tau, P.entries
     gradients = stats.gradients
     after = variant == "gossip_after_gradient"
     eta = None  # the step size the factors below were computed for
+    first = end = 1  # the population side is computed for steps first .. end - 1
+    errors = []  # floating-point errors a block computed ahead raised
+
+    def note(kind, flag):
+        errors.append(kind)
+
     for t in range(1, T + 1):
         if observer is not None:
             observer(state)
@@ -366,10 +468,9 @@ def run(
         eta_t = sched.at(t)
         if eta_t != eta:
             eta = eta_t
-            eta_tau = eta * tau
-            decay = 1.0 - eta_tau
+            decay = 1.0 - eta * tau
             decay_rows = np.tile(decay, (n, 1))
-        local, population = state.local, state.population
+        local = state.local
         if after:
             new_local = gossip @ (local - eta * gradients(local))
         else:
@@ -379,15 +480,27 @@ def run(
                 pending.append(state)
             flush()
             raise DivergenceError(t + 1, records())
-        gap = population - target
-        noise = tau * gap - gradients(population)
+        if t == end:
+            # the run may stop before the steps computed ahead, so a block
+            # that overflows is dropped, and from then on each step is
+            # computed as the run reaches it and warns as a lone step does
+            quiet = not errors
+            steps = [sched.at(s) for s in range(t, min(t + block, T) if quiet else t + 1)]
+            with np.errstate(call=note, over="call", invalid="call") if quiet else nullcontext():
+                ahead = _population_block(stats, problem, state.population, steps)
+            if quiet and errors:
+                steps = steps[:1]
+                ahead = _population_block(stats, problem, state.population, steps)
+            population, eta_noise, increment = ahead
+            first, end = t, t + len(steps)
+        k = t - first
         state = TrainState(
             t=t + 1,
             local=new_local,
             pooled=state.pooled - eta * (np.add.reduce(gradients(state.pooled), 0) / n),
-            population=population - eta_tau * gap,
-            popcov_state=gossip @ (decay_rows * state.popcov_state + eta * noise),
-            popcov_avg=decay * state.popcov_avg + eta * (np.add.reduce(noise, 0) / n),
+            population=population[k],
+            popcov_state=gossip @ (decay_rows * state.popcov_state + eta_noise[k]),
+            popcov_avg=decay * state.popcov_avg + increment[k],
         )
     flush()
     return RunResult(records=records(), final=state)

@@ -165,8 +165,8 @@ def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment config file.
 
     Every key is parsed and checked as its field declares; then the checks
-    that span keys run, including building the graph of every sweep n, so
-    a config that loads cannot fail on its topology mid-sweep.
+    that span keys run, including building the problem and the graph of
+    every sweep n, so a config that loads cannot fail on either mid-sweep.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str  # keys like T_max and R are case sensitive
@@ -206,6 +206,10 @@ def load_config(path) -> ExperimentConfig:
 
     if cfg.eta == ETA_AUTO and cfg.theta != 0.0:
         raise ValueError("[schedule] eta = auto requires theta = 0 (constant steps)")
+    try:
+        make_problem(cfg.d, cfg.gamma, cfg.r, cfg.R, cfg.noise_sigma, cfg.sampler)
+    except ValueError as exc:
+        raise ValueError(f"[problem] {exc}") from None
     for n in cfg.sweep_n:
         try:
             check_weight_scheme(_build_graph(cfg, n), cfg.weight_scheme)

@@ -117,9 +117,15 @@ def make_problem(
     tau = idx ** (-1.0 / gamma)
     target = (R / np.sqrt(d)) * tau ** (r - 0.5)
 
-    # smoothness budget must be saturated: sum tau^(1-2r) target^2 == R^2
-    budget = float(np.sum(tau ** (1.0 - 2.0 * r) * target**2))
-    assert abs(budget - R * R) <= 1e-10 * R * R, f"budget off by {budget - R * R:.2e}"
+    # smoothness budget must be saturated: sum tau^(1-2r) target^2 == R^2;
+    # it is not when a power of tau or R^2 leaves the float range
+    with np.errstate(all="ignore"):
+        budget = float(np.sum(tau ** (1.0 - 2.0 * r) * target**2))
+        if not abs(budget - R * R) <= 1e-10 * R * R:  # also true for nan
+            raise ValueError(
+                f"gamma = {gamma}, r = {r}, R = {R} at d = {d} leave the float range: the"
+                f" target's smoothness budget is {budget:.6g}, not R^2 = {R * R:.6g}"
+            )
 
     # fit the capacity constant: effective_dimension(lam) <= c * lam^(-gamma)
     lam_grid = np.geomspace(tau[-1], tau[0], 25)

@@ -102,6 +102,14 @@ def mixing_cutoff(r: float, t: int, sigma2: float) -> int:
     return int(math.ceil(_snap((r + 1.0) * math.log(t) / (1.0 - sigma2))))
 
 
+def _power(n: int, exponent: float) -> float:
+    """``n ** exponent`` as a threshold on m: infinite past the float range, where no m reaches it."""
+    try:
+        return float(n) ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def tune_plan(
     n: int, m: int, r: float, gamma: float, sigma2: float, kappa_sq: float
 ) -> TuningPlan:
@@ -121,7 +129,7 @@ def tune_plan(
     nm = float(n * m)
     gap = 1.0 - sigma2
     single = nm ** (1.0 / (2.0 * r + gamma))
-    conc_threshold = float(n) ** (2.0 * r / gamma)
+    conc_threshold = _power(n, 2.0 * r / gamma)
     concentrated = m >= conc_threshold * (1.0 - 1e-12)
 
     if concentrated:
@@ -137,7 +145,7 @@ def tune_plan(
     eta = single / (kappa_sq * t_stop)
 
     if 2.0 * r + gamma > 2.0:
-        higher_threshold = float(n) ** ((2.0 * r + 2.0 + gamma) / (2.0 * r + gamma - 2.0))
+        higher_threshold = _power(n, (2.0 * r + 2.0 + gamma) / (2.0 * r + gamma - 2.0))
     else:
         higher_threshold = 1.0 if n == 1 else math.inf
     plentiful = m >= higher_threshold * (1.0 - 1e-12)

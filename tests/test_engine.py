@@ -1,6 +1,7 @@
 """Lockstep iteration of the distributed, pooled and population processes."""
 
 import dataclasses
+import inspect
 import tracemalloc
 import warnings
 
@@ -173,11 +174,7 @@ def test_dense_reduction_of_coordinate_rows_carries_diag_bits(d, m):
     assert_dense_carries_diag_bits([sample_agent_data(prob, m, v, seed=d + m) for v in range(3)])
 
 
-# the ids carry over from when this test also held the coordinate cases
-@pytest.mark.parametrize(
-    "d,m", ONE_NONZERO_GRID, ids=[f"{d}-{m}-one-hot" for d, m in ONE_NONZERO_GRID]
-)
-def test_dense_fallback_rebuilds_dropped_agents_bit_for_bit(d, m):
+def assert_one_hot_rows_reduce_densely(d, m):
     # one-hot rows by hand: negative entries, zero rows and -0.0 entries; the
     # last agent has one two-nonzero row.  The dense reduction is, bit for
     # bit, each agent's own einsum reductions, from a list and a generator
@@ -196,6 +193,22 @@ def test_dense_fallback_rebuilds_dropped_agents_bit_for_bit(d, m):
         assert stats.mode == "dense"
         assert np.array_equal(bits(stats.xy), bits(xy))
         assert np.array_equal(bits(stats.cov), bits(cov))
+
+
+# the grid is moving from the old name, whose ids carry over from when it
+# also held the coordinate cases, to the new one: d < 16 has moved
+ONE_HOT_MOVED = [(d, m) for d, m in ONE_NONZERO_GRID if d < 16]
+ONE_HOT_LEFT = [(d, m) for d, m in ONE_NONZERO_GRID if d >= 16]
+
+
+@pytest.mark.parametrize("d,m", ONE_HOT_MOVED, ids=[f"{d}-{m}" for d, m in ONE_HOT_MOVED])
+def test_one_hot_agent_data_reduces_densely_bit_for_bit(d, m):
+    assert_one_hot_rows_reduce_densely(d, m)
+
+
+@pytest.mark.parametrize("d,m", ONE_HOT_LEFT, ids=[f"{d}-{m}-one-hot" for d, m in ONE_HOT_LEFT])
+def test_dense_fallback_rebuilds_dropped_agents_bit_for_bit(d, m):
+    assert_one_hot_rows_reduce_densely(d, m)
 
 
 def test_coordinate_sampling_never_builds_the_samples():
@@ -218,13 +231,15 @@ def test_coordinate_sampling_never_builds_the_samples():
     [
         pytest.param("gaussian", "dense", 8, 4096, 64, 1, id="gaussian-dense"),
         pytest.param("coordinate", "diag", 8, 4096, 64, 1, id="coordinate-diag"),
-        # with d > m the per-agent moments and their stack, two copies of the
-        # statistics, outweigh the samples
-        pytest.param("coordinate", "diag", 8, 2048, 4096, 2, id="coordinate-diag-d-above-m"),
+        # with d > m the statistics outweigh the samples; each agent's moments
+        # go into the stacks as it arrives, so past the drawing of one agent
+        # the peak is one stack and one agent's moments, 1.1x the statistics
+        # (1.8x when every agent's moments were held until they were stacked)
+        pytest.param("coordinate", "diag", 8, 2048, 4096, 1.2, id="coordinate-diag-d-above-m"),
         # 130 KiB of statistics, below the 256 KiB from which NumPy elides a
-        # division's temporary: the per-agent moments and a stack divided in
-        # place are 2.0x the statistics, a stack divided out of place 3.0x,
-        # and 2 * samples is 1.0x
+        # division's temporary: a stack divided in place is 1.0x the
+        # statistics, one divided out of place 2.0x, and the drawing of the
+        # last agent, 2 * samples, is 1.0x
         pytest.param("gaussian", "dense", 4, 128, 64, 1.2, id="gaussian-dense-in-place"),
     ],
 )
@@ -277,6 +292,39 @@ def test_stats_start_on_cache_lines(sampler, mode, n, m, d):
             assert a.ctypes.data % 64 == 0, name
             assert np.array_equal(bits(a), bits(want.pop(name))), name
     assert not want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9])
+@pytest.mark.parametrize(
+    "sampler,mode,m,d", [("coordinate", "diag", 64, 16), ("gaussian", "dense", 64, 16),
+                         ("gaussian", "stream", 16, 64)]
+)
+def test_stats_grown_from_a_generator_keep_the_stacked_bits(sampler, mode, m, d, n):
+    # an iterable of unknown length grows the stacks by doubling and cuts
+    # them to n rows at the end; they still start on a cache line and hold
+    # the per-agent moments stacked and divided by m
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
+    agents = [sample_agent_data(prob, m, v, seed=4) for v in range(n)]
+    stats = AgentStats.from_data(a for a in agents)
+    want = AgentStats.from_data(agents)
+    assert stats.mode == want.mode == mode and stats.n == n
+    for name, a in vars(stats).items():
+        if isinstance(a, np.ndarray):
+            assert a.ctypes.data % 64 == 0, name
+            assert np.array_equal(bits(a), bits(getattr(want, name))), name
+
+
+def test_stats_of_mixed_precision_agents_take_the_widest_type():
+    # as np.stack would, a float64 agent after float32 ones recasts the rows so far
+    prob = make_problem(8, 0.5, 1.0, noise_sigma=0.5, sampler="gaussian")
+    agents = [sample_agent_data(prob, 16, v, seed=4) for v in range(3)]
+    narrow = [AgentData(x=a.x.astype(np.float32), y=a.y.astype(np.float32), agent_id=a.agent_id)
+              for a in agents[:2]]
+    stats = AgentStats.from_data(iter(narrow + agents[2:]))
+    moments = [engine._moments(a, True) for a in narrow + agents[2:]]
+    for got, want in zip((stats.xy, stats.cov), zip(*moments)):
+        assert got.dtype == np.float64 and got.ctypes.data % 64 == 0
+        assert np.array_equal(bits(got), bits(np.stack(want) / 16))
 
 
 def test_diag_moments_do_not_copy_the_picks():
@@ -502,13 +550,13 @@ def reference_step(state, stats, prob, P, eta, variant):
     )
 
 
-def assert_states_follow_the_reference(states, datasets, prob, P, sched, variant):
-    stats = AgentStats.from_data(datasets)
+def assert_states_follow_the_reference(states, stats, prob, P, sched, variant):
     for prev, state in zip(states, states[1:]):
         want = reference_step(prev, stats, prob, P, sched.at(prev.t), variant)
-        for f in dataclasses.fields(state):
+        assert state.t == want.t
+        for f in dataclasses.fields(state)[1:]:
             got = getattr(state, f.name)
-            assert np.array_equal(got, getattr(want, f.name)), (state.t, f.name)
+            assert np.array_equal(bits(got), bits(getattr(want, f.name))), (state.t, f.name)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5])
@@ -520,13 +568,137 @@ def test_fused_step_equals_the_reference_helpers(sampler, m, mode, variant, thet
     # reaches must be the helpers' step from the state before, bit for bit
     prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
     datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(6)]
-    assert AgentStats.from_data(datasets).mode == mode
+    stats = AgentStats.from_data(datasets)
+    assert stats.mode == mode
     P = matrix("cycle", 6)
     sched = StepSchedule(0.05, theta)
     states = []
     run(prob, datasets, P, sched, T=40, variant=variant, observer=states.append)
     assert [s.t for s in states] == list(range(1, 41))
-    assert_states_follow_the_reference(states, datasets, prob, P, sched, variant)
+    assert_states_follow_the_reference(states, stats, prob, P, sched, variant)
+
+
+# (d, n, T): one-step blocks; then several blocks with T - 1 updates not a
+# multiple of the block, at d = 1 also with n past 8, where a sum over
+# agents could switch to pairwise summation
+BLOCK_SHAPES = [(512, 17, 4), (16, 6, 100), (1, 9, 1000), (1, 17, 500)]
+
+# every shape in every mode (stream needs m < d, so not d = 1), protocol and
+# theta; the dense d = 512 statistics take a second to build, so that shape
+# runs once, at theta = 0 after the gradient
+BLOCK_CASES = [
+    pytest.param(d, n, T, mode, variant, theta, id=f"d{d}-n{n}-{mode}-{variant}-{theta}")
+    for d, n, T in BLOCK_SHAPES
+    for mode in ("diag", "dense", "stream")
+    for variant in engine.PROTOCOL_VARIANTS
+    for theta in (0.0, 0.5)
+    if not (mode == "stream" and d == 1)
+    and not (mode == "dense" and d == 512 and (theta or variant != "gossip_after_gradient"))
+]
+
+
+@pytest.mark.parametrize("d,n,T,mode,variant,theta", BLOCK_CASES)
+def test_population_blocks_keep_the_reference_bits(d, n, T, mode, variant, theta):
+    # run() computes the half of the step that reads no iterate a block of
+    # steps ahead; every state, on both sides of each block boundary, must
+    # still be the helpers' step from the state before, bit for bit
+    m = {"diag": 32, "dense": d + 3, "stream": d // 2}[mode]
+    sampler = "coordinate" if mode == "diag" else "gaussian"
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
+    datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(n)]
+    stats = AgentStats.from_data(datasets)
+    assert stats.mode == mode
+    block = max(1, engine._BLOCK_BYTES // (n * d * 8))
+    assert block == 1 if d == 512 else (T - 1 > block and (T - 1) % block != 0)
+    P = matrix("cycle", n)
+    sched = StepSchedule(min(0.05, 1.0 / prob.kappa_sq), theta)
+    states = []
+    run(prob, datasets, P, sched, T=T, variant=variant, observer=states.append)
+    assert [s.t for s in states] == list(range(1, T + 1))
+    assert_states_follow_the_reference(states, stats, prob, P, sched, variant)
+
+
+# (sampler, m, kind) at d = 8 and eta = 1e6: the local iterates diverge
+# within 20 updates, and the population path would overflow inside the block
+# computed ahead at the divergence
+OVERFLOWING_AHEAD = [
+    ("coordinate", 8, "cycle"),
+    ("coordinate", 8, "complete"),
+    ("gaussian", 16, "cycle"),
+    ("gaussian", 4, "cycle"),
+]
+
+
+@pytest.mark.parametrize("sampler,m,kind", OVERFLOWING_AHEAD)
+def test_diverged_run_warns_only_about_the_steps_it_reached(sampler, m, kind):
+    # the only warning is the step size's: nothing computed ahead of the
+    # divergence may overflow aloud
+    d, eta, T = 8, 1e6, 200
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.2, sampler=sampler)
+    datasets = [sample_agent_data(prob, m, v, seed=5) for v in range(4)]
+    P = matrix(kind, 4, scheme="uniform_complete" if kind == "complete" else "metropolis_lazy")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError) as info:
+            run(prob, datasets, P, StepSchedule(eta), T=T)
+    assert [(w.category, str(w.message).split(" > ")[0]) for w in caught] == [
+        (RuntimeWarning, f"eta * kappa_sq = {eta * prob.kappa_sq:.3g}")
+    ]
+    # the population path overflows within one block of the last state
+    reached = info.value.iteration - 1
+    assert reached <= 20
+    population = np.zeros(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(min(T - 1, reached + engine._BLOCK_BYTES // (4 * d * 8))):
+            population = population_step(population, prob, eta)
+    assert not np.isfinite(population).all()
+
+
+@pytest.mark.parametrize("d", [3, 600])  # blocks of many steps, and of one
+def test_population_overflow_warns_from_the_step_that_overflows(d):
+    # no agent samples coordinate 0, so the local iterates stay finite while
+    # the population path, at eta * tau_1 = 1000, overflows.  The population
+    # side, computed a block ahead, warns from the step whose helpers first
+    # warn, never before it, and the states keep the helpers' bits through
+    # the infs and nans
+    prob = make_problem(d, 0.5, 1.0)
+    picks = np.array([1, 2, 2, 1, 2])
+    datasets = [
+        CoordinateData(picks, np.full(5, 0.01), np.linspace(-1.0, 1.0, 5) + v, d, v)
+        for v in range(4)
+    ]
+    P = matrix("cycle", 4)
+    sched = StepSchedule(1000.0)
+    stats = AgentStats.from_data(datasets)
+    population = np.zeros(d)
+    for first in range(1, 500):  # the first step whose population side warns
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            noise = engine.noise_terms(population, stats, prob)
+            sched.at(first) * noise, sched.at(first) * noise.mean(axis=0)
+            population = population_step(population, prob, sched.at(first))
+        if caught:
+            break
+    assert 50 < first < 400
+    code, start = inspect.getsourcelines(engine._population_block)
+
+    def warned(T, states=None):
+        # the lines of the population block that warned
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(prob, datasets, P, sched, T=T, observer=None if states is None else states.append)
+        return {w.lineno for w in caught if w.filename == engine.__file__} & set(
+            range(start, start + len(code))
+        )
+
+    assert warned(first) == set()  # the updates up to t = first stay quiet
+    assert warned(first + 1)
+    states = []
+    warned(first + 20, states)
+    assert not np.isfinite(states[-1].population).all()
+    assert np.isfinite(states[-1].local).all()
+    with np.errstate(all="ignore"):
+        assert_states_follow_the_reference(states, stats, prob, P, sched, "gossip_after_gradient")
 
 
 @pytest.mark.parametrize("sampler,m,diverging_eta", STRIDE_MODES)
@@ -541,11 +713,9 @@ def test_diverged_run_follows_the_reference_to_its_last_state(sampler, m, diverg
         with pytest.raises(DivergenceError) as info:
             run(prob, datasets, P, sched, T=200, observer=states.append)
         assert states[-1].t == info.value.iteration - 1
-        assert_states_follow_the_reference(
-            states, datasets, prob, P, sched, "gossip_after_gradient"
-        )
-        # the helpers' next step from the last state leaves the trust region
         stats = AgentStats.from_data(datasets)
+        assert_states_follow_the_reference(states, stats, prob, P, sched, "gossip_after_gradient")
+        # the helpers' next step from the last state leaves the trust region
         last = engine.dgd_step(states[-1].local, stats, P.entries, diverging_eta)
     assert not np.linalg.norm(last) <= engine.DIVERGENCE_NORM
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,33 @@ def test_load_config_rejects(tmp_path, mutate):
     path = write_config(tmp_path, mutate(BASE_CONFIG))
     with pytest.raises(ValueError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        pytest.param("d = 4\ngamma = 1e-5\nr = 1.0", id="gamma-1e-5"),  # tau underflows to 0
+        pytest.param("d = 16\ngamma = 0.5\nr = 100", id="r-100"),  # tau^(1-2r) overflows
+        pytest.param("d = 4\ngamma = 0.5\nr = 1.0\nR = 1e300", id="R-1e300"),  # R^2 overflows
+    ],
+)
+def test_problem_out_of_float_range_fails_at_load(tmp_path, problem):
+    # the problem is built once at load, so the first job cannot fail on it
+    text = BASE_CONFIG.replace("d = 4\ngamma = 0.5\nr = 1.0", problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^\[problem\] .* leave the float range"):
+            load_config(write_config(tmp_path, text))
+
+
+def test_tiny_gamma_sweep_runs(tmp_path):
+    # at gamma = 0.01 and r = 1 the threshold n^((2r+2+gamma)/(2r+gamma-2)) is
+    # 8^401 at n = 8, past the float range: no m reaches it, and the sweep runs
+    text = BASE_CONFIG.replace("gamma = 0.5", "gamma = 0.01").replace("eta = 0.05", "eta = auto")
+    out = run_experiment(load_config(write_config(tmp_path, text)), out_dir=tmp_path)
+    rows = read_rows(out)
+    assert {row["n"] for row in rows} == {"4", "8"}
+    assert all(row["diverged_at"] == "-1" for row in rows)
 
 
 def test_load_config_missing_file(tmp_path):

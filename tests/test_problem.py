@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,22 @@ def test_sampled_arrays_are_frozen():
 def test_make_problem_rejects(kwargs):
     with pytest.raises(ValueError):
         make_problem(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        pytest.param(dict(d=4, gamma=1e-5, r=1.0), id="gamma-1e-5"),
+        pytest.param(dict(d=16, gamma=0.5, r=100.0), id="r-100"),
+        pytest.param(dict(d=4, gamma=0.5, r=1.0, R=1e300), id="R-1e300"),
+    ],
+)
+def test_budget_out_of_float_range_is_a_value_error(kwargs):
+    # a check that holds under python -O too, and without NumPy's warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="leave the float range"):
+            make_problem(**kwargs)
 
 
 def test_sample_rejects_empty():

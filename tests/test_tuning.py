@@ -102,6 +102,17 @@ def test_out_of_scope_smoothness_flagged():
     assert plan.t_stop >= 1
 
 
+def test_thresholds_past_the_float_range_are_infinite():
+    # gamma = 0.01, r = 1: n^((2r+2+gamma)/(2r+gamma-2)) = 8^401 and, at n = 64,
+    # n^(2r/gamma) = 64^200 overflow a float; no m reaches either threshold
+    plan = tune_plan(8, 100, 1.0, 0.01, 0.5, kappa_sq=8.0)
+    assert plan.preconditions["m >= n^((2r+2+gamma)/(2r+gamma-2))"] is False
+    assert plan.regime == "consensus_limited"
+    assert tune_plan(64, 100, 1.0, 0.01, 0.5, kappa_sq=8.0).regime == "consensus_limited"
+    # below the float range the threshold still counts: 4^401 is a float
+    assert tune_plan(4, 10**6, 1.0, 0.01, 0.5, kappa_sq=8.0).t_stop >= 1
+
+
 @pytest.mark.parametrize(
     "args",
     [
