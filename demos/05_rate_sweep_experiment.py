@@ -6,8 +6,11 @@ Everything here also works from the shell:
     gossipgd summarize demos/output/rate_sweep.csv --slope-axis nm
 
 The config sweeps the agent count at fixed per-agent sample size with the
-closed-form schedule (eta = auto), so the final excess risk should fall
-roughly like (nm)^(-0.8).  Runs are seeded per (sweep point, replicate):
+closed-form schedule (eta = auto).  For this target, spread evenly over
+d = 8 coordinates, the exact expected slope of the final excess risk
+against nm is -0.685 at nm ~ 2^7: shallower than the minimax -0.8, the
+worst case over the source class, and tending to the parametric -1 once
+every coordinate is resolved.  Runs are seeded per (sweep point, replicate):
 rerunning the config, with any thread count, reproduces the CSV byte for
 byte.
 """

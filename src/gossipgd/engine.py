@@ -25,11 +25,12 @@ bit for bit.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import operator
 import warnings
 from collections.abc import Iterable
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +45,20 @@ PROTOCOL_VARIANTS = ("gossip_after_gradient", "gossip_before_gradient")
 DIVERGENCE_NORM = 1e12
 
 # recorded states are scored by diagnostics.decompose in blocks of at most
-# this many bytes of (n, d) local iterates (and at least one state)
+# this many bytes of (n, d) local iterates (and at least one state); the
+# population side is computed as many steps ahead.  Larger blocks, or a floor
+# in steps, lose where blocks are smallest (n = 4, d = 512: two states).
+# There 64 and 96 KiB read +13% and +17% sweep time and +0.25 and +0.7 MB
+# peak RSS, and at eight states decompose's temporaries reach 128 KiB,
+# glibc's mmap threshold, so each is mapped and page-faulted anew on every
+# call: 600 us a call, against 280 us with the threshold raised (2-core
+# Xeon VM)
 _BLOCK_BYTES = 32 * 1024
+
+# a sweep job's per-agent record rows wait for their reduction over agents in
+# a buffer of at most this many bytes (see _Summary), under glibc's mmap
+# threshold, so it is not mapped and page-faulted anew for every job
+_STAGE_BYTES = 64 * 1024
 
 
 class DivergenceError(RuntimeError):
@@ -424,26 +437,15 @@ def run(
     )
 
     block = max(1, _BLOCK_BYTES // local.nbytes)
-    rows = T // stride + (T % stride != 0)  # the states a run that reaches T records
-    columns, pending = {}, []  # the run's record columns, and recorded states not yet scored
-    filled = 0  # rows of the columns scored so far
+    store = _STORE.get()  # a sweep job's own store, or else the record columns
+    if store is None:
+        store = _Columns(_recorded_rows(T, stride))
+    pending = []  # recorded states not yet scored
 
     def flush():
-        nonlocal filled
-        if not pending:
-            return
-        scored = vars(diagnostics.decompose(pending, problem))
-        if not columns:
-            columns.update(
-                (name, np.empty((rows, *col.shape[1:]), col.dtype)) for name, col in scored.items()
-            )
-        for name, col in scored.items():
-            columns[name][filled : filled + len(pending)] = col
-        filled += len(pending)
-        pending.clear()
-
-    def records():
-        return diagnostics.Records(**{name: col[:filled] for name, col in columns.items()})
+        if pending:
+            store(diagnostics.decompose(pending, problem))
+            pending.clear()
 
     tau, gossip = problem.tau, P.entries
     gradients = stats.gradients
@@ -479,7 +481,7 @@ def run(
             if t % stride != 0:
                 pending.append(state)
             flush()
-            raise DivergenceError(t + 1, records())
+            raise DivergenceError(t + 1, store.records())
         if t == end:
             # the run may stop before the steps computed ahead, so a block
             # that overflows is dropped, and from then on each step is
@@ -503,4 +505,113 @@ def run(
             popcov_avg=decay * state.popcov_avg + increment[k],
         )
     flush()
-    return RunResult(records=records(), final=state)
+    return RunResult(records=store.records(), final=state)
+
+
+def _recorded_rows(T: int, stride: int) -> int:
+    """The states a run that reaches T records: every stride-th one and the last."""
+    return T // stride + (T % stride != 0)
+
+
+class _Columns:
+    """:func:`run`'s record columns: allocated once, on the first scored block."""
+
+    def __init__(self, rows):
+        self.rows, self.filled, self.columns = rows, 0, {}
+
+    def __call__(self, block):
+        scored = vars(block)
+        if not self.columns:
+            self.columns = {
+                name: np.empty((self.rows, *col.shape[1:]), col.dtype)
+                for name, col in scored.items()
+            }
+        start = self.filled
+        self.filled += len(block)
+        for name, col in scored.items():
+            self.columns[name][start : self.filled] = col
+
+    def records(self):
+        return diagnostics.Records(
+            **{name: col[: self.filled] for name, col in self.columns.items()}
+        )
+
+
+class _Summary:
+    """A run's records reduced over agents as each scored block arrives.
+
+    ``t`` holds the recorded iterations and ``table`` one row for each of
+    ``COLUMNS``: each per-agent column's mean over agents, then its max,
+    then the agent-shared columns; ``filled`` rows of both are set once
+    :meth:`records` has returned.  The per-agent columns are staged and
+    reduced when the stage is full, in two NumPy calls for many blocks (a
+    block holds as few as two states at n = 4, d = 512).  Each row is
+    reduced over the contiguous agent axis, which has the bits of the whole
+    column's reduction.
+    """
+
+    PER_AGENT = ("excess", "network_err", "popcov_err", "residual_err")
+    SHARED = ("bias_sq", "sample_var", "consensus_err")
+    COLUMNS = (*(f"{c}_mean" for c in PER_AGENT), *(f"{c}_max" for c in PER_AGENT), *SHARED)
+
+    def __init__(self, rows):
+        self.rows, self.table = rows, None
+        self.filled = self.staged = 0  # rows copied, and rows of them still staged
+
+    def __call__(self, block):
+        k, cols = len(block), vars(block)
+        if self.table is None:
+            self._allocate(k, cols["excess"].shape[1])
+        elif self.staged + k > self.stage.shape[1]:
+            self._reduce()
+        start, staged = self.filled, self.staged
+        self.filled, self.staged = start + k, staged + k
+        self.t[start : self.filled] = cols["t"]
+        for row, name in zip(self.shared, self.SHARED):
+            row[start : self.filled] = cols[name]
+        for plane, name in zip(self.planes, self.PER_AGENT):
+            plane[staged : self.staged] = cols[name]
+
+    def _allocate(self, k, n):
+        # on the first block, after the statistics build and its peak; no
+        # later block of a run holds more rows than its first
+        self.t = np.empty(self.rows, np.int64)
+        self.table = np.empty((len(self.COLUMNS), self.rows))
+        self.shared = list(self.table[-len(self.SHARED) :])
+        stage_rows = max(k, _STAGE_BYTES // (len(self.PER_AGENT) * n * 8))
+        self.stage = np.empty((len(self.PER_AGENT), min(stage_rows, self.rows), n))
+        self.planes = list(self.stage)
+
+    def _reduce(self):
+        staged, rows = self.stage[:, : self.staged], slice(self.filled - self.staged, self.filled)
+        p = len(self.PER_AGENT)
+        staged.mean(axis=2, out=self.table[:p, rows])
+        staged.max(axis=2, out=self.table[p : 2 * p, rows])
+        self.staged = 0
+
+    def records(self):
+        """Reduce what is still staged; the summary stands in for the records."""
+        if self.staged:
+            self._reduce()
+        return self
+
+# where run() puts its scored blocks when not in its own record columns
+_STORE = contextvars.ContextVar("store", default=None)
+
+
+@contextmanager
+def _records_to(store):
+    """Have :func:`run`, in this context, hand its scored blocks to ``store``.
+
+    ``store`` is called with each scored block of
+    :class:`~gossipgd.diagnostics.Records`, in order, and what its
+    ``records()`` returns takes the record columns' place in the
+    :class:`RunResult` or :class:`DivergenceError`; ``None`` restores the
+    columns.  A sweep job keeps only a :class:`_Summary` this way and still
+    goes through :func:`run`, the name the benchmark's tracer wraps.
+    """
+    token = _STORE.set(store)
+    try:
+        yield
+    finally:
+        _STORE.reset(token)

@@ -149,10 +149,9 @@ RUN_RECORD_COLUMNS = (
     "diverged_at",  # -1 when the run completed
 )
 
-# Records columns: t and the float scalars are CSV columns as they are, and
-# each per-agent column gives a <name>_mean and a <name>_max column
-_SCALARS = ("bias_sq", "sample_var", "consensus_err")
-_PER_AGENT = ("excess", "network_err", "popcov_err", "residual_err")
+# CSV lines are formatted this many rows at a time, so a job's Python floats
+# are never all alive at once
+_CHUNK_ROWS = 256
 
 
 def derive_seed(master_seed: int, sweep_index: int, replicate: int) -> int:
@@ -250,10 +249,10 @@ def _build_gossip(cfg: ExperimentConfig, n: int):
 def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate: int):
     """Execute one replicate; return an iterator over its records' CSV lines.
 
-    Per-job cells are formatted once; each per-agent column is reduced to
-    its mean and max over agents before the run's records are dropped, and
-    each line is joined as it is read.  A diverged run keeps its partial
-    records, which end at the last finite state.
+    Each scored block of records is reduced over agents as it arrives, so no
+    per-agent record column is held, and the lines are formatted a chunk of
+    rows at a time.  A diverged run keeps its partial records, which end at
+    the last finite state.
     """
     seed = derive_seed(cfg.master_seed, sweep_index, replicate)
     P = _build_gossip(cfg, n)
@@ -266,40 +265,37 @@ def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate:
     sched = engine.StepSchedule(eta=eta, theta=cfg.theta)
     # drawn one agent at a time as the statistics build consumes them
     datasets = (sample_agent_data(problem, m, v, seed) for v in range(n))
+    T, stride = updates + 1, cfg.stride or max(1, updates // 200)
+    summary = engine._Summary(engine._recorded_rows(T, stride))
 
     diverged_at = -1
-    try:
-        result = engine.run(
-            problem,
-            datasets,
-            P,
-            sched,
-            updates + 1,
-            variant=cfg.protocol,
-            stride=cfg.stride or max(1, updates // 200),
-        )
-        records = result.records
-    except engine.DivergenceError as err:
-        records = err.records
-        diverged_at = err.iteration
+    with engine._records_to(summary):
+        try:
+            engine.run(problem, datasets, P, sched, T, variant=cfg.protocol, stride=stride)
+        except engine.DivergenceError as err:
+            diverged_at = err.iteration
 
     fixed = dict(
         sweep_index=sweep_index, n=n, m=m, replicate=replicate, eta=eta, theta=cfg.theta,
         t_stop=plan.t_stop, t_star=plan.t_star, regime=plan.regime, sigma2=P.sigma2,
         diverged_at=diverged_at,
     )
-    # float cells are the repr of Python floats, so columns go through tolist()
-    columns = {"t": map(str, records.t.tolist())}
-    for name in _SCALARS:
-        columns[name] = map(repr, getattr(records, name).tolist())
-    for name in _PER_AGENT:
-        column = getattr(records, name)
-        columns[f"{name}_mean"] = map(repr, column.mean(axis=1).tolist())
-        columns[f"{name}_max"] = map(repr, column.max(axis=1).tolist())
-    cells = [
-        repeat(_format_cell(fixed[c])) if c in fixed else columns[c] for c in RUN_RECORD_COLUMNS
-    ]
-    return (",".join(row) + "\n" for row in zip(*cells))
+    return _lines(summary, fixed)
+
+
+def _lines(summary, fixed):
+    """Yield a job's CSV lines from its records' summary, a chunk of rows at a time.
+
+    ``fixed`` maps the per-job columns to their values.  Float cells are the
+    repr of Python floats, so each chunk of a column goes through ``tolist()``.
+    """
+    columns = {name: repeat(_format_cell(value)) for name, value in fixed.items()}
+    for start in range(0, summary.filled, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, summary.filled))
+        columns["t"] = map(str, summary.t[rows].tolist())
+        floats = (map(repr, row.tolist()) for row in summary.table[:, rows])
+        columns.update(zip(summary.COLUMNS, floats))
+        yield from (",".join(row) + "\n" for row in zip(*map(columns.get, RUN_RECORD_COLUMNS)))
 
 
 def _format_cell(value) -> str:

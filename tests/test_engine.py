@@ -174,7 +174,8 @@ def test_dense_reduction_of_coordinate_rows_carries_diag_bits(d, m):
     assert_dense_carries_diag_bits([sample_agent_data(prob, m, v, seed=d + m) for v in range(3)])
 
 
-def assert_one_hot_rows_reduce_densely(d, m):
+@pytest.mark.parametrize("d,m", ONE_NONZERO_GRID)
+def test_one_hot_agent_data_reduces_densely_bit_for_bit(d, m):
     # one-hot rows by hand: negative entries, zero rows and -0.0 entries; the
     # last agent has one two-nonzero row.  The dense reduction is, bit for
     # bit, each agent's own einsum reductions, from a list and a generator
@@ -193,22 +194,6 @@ def assert_one_hot_rows_reduce_densely(d, m):
         assert stats.mode == "dense"
         assert np.array_equal(bits(stats.xy), bits(xy))
         assert np.array_equal(bits(stats.cov), bits(cov))
-
-
-# the grid is moving from the old name, whose ids carry over from when it
-# also held the coordinate cases, to the new one: d < 16 has moved
-ONE_HOT_MOVED = [(d, m) for d, m in ONE_NONZERO_GRID if d < 16]
-ONE_HOT_LEFT = [(d, m) for d, m in ONE_NONZERO_GRID if d >= 16]
-
-
-@pytest.mark.parametrize("d,m", ONE_HOT_MOVED, ids=[f"{d}-{m}" for d, m in ONE_HOT_MOVED])
-def test_one_hot_agent_data_reduces_densely_bit_for_bit(d, m):
-    assert_one_hot_rows_reduce_densely(d, m)
-
-
-@pytest.mark.parametrize("d,m", ONE_HOT_LEFT, ids=[f"{d}-{m}-one-hot" for d, m in ONE_HOT_LEFT])
-def test_dense_fallback_rebuilds_dropped_agents_bit_for_bit(d, m):
-    assert_one_hot_rows_reduce_densely(d, m)
 
 
 def test_coordinate_sampling_never_builds_the_samples():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +369,20 @@ def test_option_surface_demo_matches_golden_csv(tmp_path):
     assert out.read_bytes() == (DEMOS / "output" / "option_surface.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["star", "edge_list"])
+def test_star_and_edge_list_demos_match_golden_csv(tmp_path, name):
+    """Pins the two topology kinds no other golden builds, byte for byte.
+
+    A star (a hub and its leaves, metropolis_lazy weights, n = 3 and 6)
+    and a custom_edge_list graph (a path of five agents with the chord
+    1-3, max_degree weights), each on coordinate samples at small n.
+    """
+    cfg = load_config(DEMOS / "configs" / f"{name}.ini")
+    assert cfg.kind == {"star": "star", "edge_list": "custom_edge_list"}[name]
+    out = run_experiment(cfg, out_dir=tmp_path)
+    assert out.read_bytes() == (DEMOS / "output" / f"{name}.csv").read_bytes()
+
+
 def test_sparse_auto_demo_matches_golden_csv(tmp_path):
     """Pins tuned steps on a sparse random graph, byte for byte.
 
@@ -588,11 +603,11 @@ def test_sweep_columns_reduce_each_record_in_dense_and_stream_mode(tmp_path, mon
     modes, records = [], []
 
     def capture(problem, datasets, *args, **kwargs):
-        datasets = list(datasets)  # an iterable of agents, read twice here
+        datasets = list(datasets)  # an iterable of agents, read three times here
         modes.append(experiment.engine.AgentStats.from_data(datasets).mode)
-        result = run(problem, datasets, *args, **kwargs)
-        records.append(result.records)
-        return result
+        with experiment.engine._records_to(None):  # a run that keeps its record columns
+            records.append(run(problem, datasets, *args, **kwargs).records)
+        return run(problem, datasets, *args, **kwargs)
 
     monkeypatch.setattr(experiment.engine, "run", capture)
     rows = read_rows(run_experiment(cfg, out_dir=tmp_path))
@@ -605,6 +620,111 @@ def test_sweep_columns_reduce_each_record_in_dense_and_stream_mode(tmp_path, mon
             values = getattr(recs, name)[r]
             assert row[f"{name}_mean"] == repr(float(values.mean()))
             assert row[f"{name}_max"] == repr(float(values.max()))
+
+
+def reference_lines(records, line):
+    """A job's CSV lines as its whole record columns format them.
+
+    Each per-agent column is reduced over agents for the whole job at once;
+    the per-job cells are copied from ``line``, one line of the job.
+    """
+    cells = dict(zip(RUN_RECORD_COLUMNS, line.rstrip("\n").split(",")))
+    columns = {name: repeat(cell) for name, cell in cells.items()}
+    columns["t"] = map(str, records.t.tolist())
+    for name in ("bias_sq", "sample_var", "consensus_err"):
+        columns[name] = map(repr, getattr(records, name).tolist())
+    for name in ("excess", "network_err", "popcov_err", "residual_err"):
+        column = getattr(records, name)
+        columns[f"{name}_mean"] = map(repr, column.mean(axis=1).tolist())
+        columns[f"{name}_max"] = map(repr, column.max(axis=1).tolist())
+    return [",".join(row) + "\n" for row in zip(*(columns[c] for c in RUN_RECORD_COLUMNS))]
+
+
+# config edits of BASE_CONFIG: block boundaries (32 KiB of local iterates),
+# stage boundaries (64 KiB of per-agent rows) and 256-row formatting chunks
+# all fall inside the jobs
+STREAMED_JOBS = {
+    "diag-stride1": {"d = 4": "d = 16", "n = 4 8": "n = 4 7", "m = 8 16": "m = 32",
+                     "kind = complete\nweight_scheme = uniform_complete": "kind = cycle",
+                     "T_max = 3": "T_max = 1200"},
+    "diag-stride7": {"d = 4": "d = 16", "n = 4 8": "n = 4 7", "m = 8 16": "m = 32",
+                     "kind = complete\nweight_scheme = uniform_complete": "kind = cycle",
+                     "T_max = 3": "T_max = 1200", "stride = 1": "stride = 7"},
+    "dense-stream-stride1": {"d = 4": "d = 8\nsampler = gaussian", "n = 4 8": "n = 3 9",
+                             "m = 8 16": "m = 4 16", "T_max = 3": "T_max = 300"},
+    "dense-stream-stride7": {"d = 4": "d = 8\nsampler = gaussian", "n = 4 8": "n = 3 9",
+                             "m = 8 16": "m = 4 16", "T_max = 3": "T_max = 300",
+                             "stride = 1": "stride = 7"},
+    "one-agent": {"d = 4": "d = 16", "n = 4 8": "n = 1", "m = 8 16": "m = 64",
+                  "T_max = 3": "T_max = 600"},
+    "d-1": {"d = 4": "d = 1", "n = 4 8": "n = 2", "T_max = 3": "T_max = 2500"},
+    "diverging-stride1": {"d = 4": "d = 16", "n = 4 8": "n = 6", "m = 8 16": "m = 32",
+                          "kind = complete\nweight_scheme = uniform_complete": "kind = cycle",
+                          "eta = 0.05": "eta = 1.5", "T_max = 3": "T_max = 400"},
+    "diverging-stride7": {"d = 4": "d = 16", "n = 4 8": "n = 6", "m = 8 16": "m = 32",
+                          "kind = complete\nweight_scheme = uniform_complete": "kind = cycle",
+                          "eta = 0.05": "eta = 1.5", "T_max = 3": "T_max = 400",
+                          "stride = 1": "stride = 7"},
+}
+
+
+@pytest.mark.parametrize("case", STREAMED_JOBS)
+def test_streamed_lines_equal_the_lines_of_the_whole_records(tmp_path, monkeypatch, case):
+    # each job's lines, reduced block by block as the run scores them, equal
+    # byte for byte the lines of engine.run's record columns for that job
+    text = BASE_CONFIG.replace("replicates = 3", "replicates = 1")
+    for old, new in STREAMED_JOBS[case].items():
+        assert old in text
+        text = text.replace(old, new)
+    cfg = load_config(write_config(tmp_path, text))
+    run = experiment.engine.run
+    jobs = []
+
+    def capture(problem, datasets, *args, **kwargs):
+        datasets = list(datasets)  # an iterable of agents, read twice here
+        with experiment.engine._records_to(None):  # a run that keeps its record columns
+            try:
+                jobs.append((run(problem, datasets, *args, **kwargs).records, -1))
+            except experiment.engine.DivergenceError as err:
+                jobs.append((err.records, err.iteration))
+        return run(problem, datasets, *args, **kwargs)
+
+    monkeypatch.setattr(experiment.engine, "run", capture)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out = run_experiment(cfg, out_dir=tmp_path)
+    lines = [ln for ln in out.read_text().splitlines(keepends=True) if not ln.startswith("#")][1:]
+    diverged = case.startswith("diverging")
+    assert len(jobs) == len(cfg.sweep_n) * len(cfg.sweep_m)
+    for records, diverged_at in jobs:
+        job, lines = lines[: len(records)], lines[len(records) :]
+        assert job == reference_lines(records, job[0])
+        assert job[-1].endswith(f",{diverged_at}\n")
+        assert (diverged_at > 0) == diverged
+        if diverged:
+            assert records.t[-1] == diverged_at - 1
+    assert lines == []
+
+
+def test_sweep_job_holds_no_per_agent_columns(tmp_path):
+    # diag-cycle-stride1's n = 16 job: its four per-agent record columns of
+    # 2,001 x 16 doubles take 1 MB, and the job peaks below that
+    text = BASE_CONFIG.replace("d = 4", "d = 16").replace("noise_sigma = 0.2", "noise_sigma = 0.5")
+    text = text.replace("kind = complete\nweight_scheme = uniform_complete", "kind = cycle")
+    text = text.replace("n = 4 8", "n = 16").replace("m = 8 16", "m = 256")
+    text = text.replace("T_max = 3", "T_max = 2000").replace("replicates = 3", "replicates = 1")
+    cfg = load_config(write_config(tmp_path, text))
+    per_agent_bytes = 4 * 2001 * 16 * 8
+    lines = list(experiment._run_one(cfg, 0, 16, 256, 0))  # imports what a first job imports
+    tracemalloc.start()
+    try:
+        for row, line in enumerate(experiment._run_one(cfg, 0, 16, 256, 0)):
+            assert line == lines[row]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row + 1 == len(lines) == 2001
+    assert peak < per_agent_bytes, peak / per_agent_bytes
 
 
 def test_summarize_rejects_mixed_schema(tmp_path):
