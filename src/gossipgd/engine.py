@@ -4,6 +4,7 @@ Each iteration advances four coupled recursions on the same step sequence:
 
 * ``local``: the per-agent gossip iterates (the algorithm under study),
 * ``pooled``: single-machine gradient descent on the union of all samples,
+  one gradient per step on their pooled statistics,
 * ``population``: noiseless descent on the exact covariance,
 * ``popcov``: linear accumulators that isolate the covariance-driven part
   of each agent's deviation from the pooled iterate.
@@ -99,9 +100,10 @@ class AgentStats:
     through the sample matrix, when d > m (``stream``).  Only the stream mode
     keeps the sample matrix.
 
-    Each array starts on a 64-byte boundary: the batched gemv of the dense
-    gradient at n = 32, d = 64 took 18.6 us there against 23.9 us at a
-    16-byte offset (2-core Xeon VM), with the same bits at every offset.
+    Each array :meth:`from_data` builds starts on a 64-byte boundary: the
+    batched gemv of the dense gradient at n = 32, d = 64 took 18.6 us there
+    against 23.9 us at a 16-byte offset (2-core Xeon VM), with the same bits
+    at every offset.
     """
 
     xy: np.ndarray = field(repr=False)  # (n, d)
@@ -167,6 +169,24 @@ class AgentStats:
     def n(self) -> int:
         return self.xy.shape[0]
 
+    def _single_machine(self) -> AgentStats:
+        """The pooled machine: one agent that holds all n·m samples.
+
+        Its ``xy`` and ``cov_diag`` or ``cov`` are the agents' averaged over
+        agents; from stream agents it keeps ``X^T X / (n m)`` of the stacked
+        ``x`` when n·m >= d, else the ``(1, n m, d)`` view of ``x``.
+        """
+        xy, x = self.xy.mean(0, keepdims=True), self.x
+        if x is None:
+            second = (
+                None if a is None else a.mean(0, keepdims=True) for a in (self.cov_diag, self.cov)
+            )
+            return AgentStats(xy, self.mode, *second)
+        x = x.reshape(-1, x.shape[2])
+        if len(x) < x.shape[1]:
+            return AgentStats(xy, "stream", x=x[None])
+        return AgentStats(xy, "dense", cov=np.einsum("md,me->de", x, x)[None] / len(x))
+
     def gradients(self, W: np.ndarray) -> np.ndarray:
         """Per-agent gradients (n, d) at per-agent points W (n, d) or one shared point W (d,).
 
@@ -188,10 +208,11 @@ _CACHE_LINE = 64
 class _Stack:
     """One statistic, stacked a row at a time on a cache line.
 
-    A full buffer doubles by reallocation (``ndarray.resize``), so old and
-    new are never both held; :meth:`done` cuts it to its rows and moves
-    them back onto the boundary if a reallocation moved the buffer.  The
-    dtype is the one ``np.stack(rows) / divisor`` would have.
+    A full buffer grows by half its rows, rounded up, by reallocation
+    (``ndarray.resize``), so old and new are never both held; :meth:`done`
+    cuts it to its rows and moves them back onto the boundary if a
+    reallocation moved the buffer.  The dtype is the one
+    ``np.stack(rows) / divisor`` would have.
     """
 
     def __init__(self, row, capacity, divisor=None):
@@ -214,7 +235,7 @@ class _Stack:
         dtype = np.result_type(self.dtype, row.dtype)
         full = self.rows == self.capacity
         if full:
-            self.capacity *= 2
+            self.capacity += (self.capacity + 1) // 2
         if dtype != self.dtype:  # a wider row recasts the rows so far, as np.stack would
             rows, self.dtype = self._view(self.rows), dtype
             self._allocate()
@@ -305,8 +326,12 @@ def dgd_step(
 
 
 def single_machine_step(pooled: np.ndarray, stats: AgentStats, eta: float) -> np.ndarray:
-    """Gradient descent on all nm samples pooled into one machine."""
-    return pooled - eta * stats.gradients(pooled).mean(axis=0)
+    """Gradient descent on all nm samples pooled into one machine.
+
+    One gradient of :meth:`AgentStats._single_machine`, as in :func:`run`;
+    its bits are not those of the mean of the agents' gradients.
+    """
+    return pooled - eta * stats._single_machine().gradients(pooled)[0]
 
 
 def population_step(population: np.ndarray, problem: SpectralProblem, eta: float) -> np.ndarray:
@@ -447,7 +472,7 @@ def run(
             store(diagnostics.decompose(pending, problem))
             pending.clear()
 
-    tau, gossip = problem.tau, P.entries
+    tau, gossip, machine = problem.tau, P.entries, stats._single_machine()
     gradients = stats.gradients
     after = variant == "gossip_after_gradient"
     eta = None  # the step size the factors below were computed for
@@ -499,7 +524,7 @@ def run(
         state = TrainState(
             t=t + 1,
             local=new_local,
-            pooled=state.pooled - eta * (np.add.reduce(gradients(state.pooled), 0) / n),
+            pooled=state.pooled - eta * machine.gradients(state.pooled)[0],
             population=population[k],
             popcov_state=gossip @ (decay_rows * state.popcov_state + eta_noise[k]),
             popcov_avg=decay * state.popcov_avg + increment[k],

@@ -3,7 +3,9 @@
 The tracer wraps public names and silently drops a metric whose name went
 away; this runs ``perfbench/child.py traced`` on two tiny sweeps and checks
 that each per-layer metric in ``BENCHMARK.json`` comes back, finite, and
-that every name the tracer wraps still exists on the package.
+that every name the tracer wraps still exists on the package.  It also
+keeps every module of the package below the token count past which
+compiling it, which every benchmark process does, peaks higher.
 """
 
 import importlib.util
@@ -13,6 +15,7 @@ import math
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,9 @@ import pytest
 import gossipgd
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# parser tokens a module of the package stays below; see the test that uses it
+TOKEN_BUDGET = 4090
 
 # per-layer metrics that perfbench/run.py adds itself, not the traced child
 ADDED_BY_RUNNER = {
@@ -95,3 +101,24 @@ def test_every_wrapped_name_resolves():
             absent.add((owner_path, attr))
     missing = sorted(absent - STALE_WRAPPED)
     assert not missing, f"perfbench/tracer.py wraps names that do not exist: {missing}"
+
+
+MODULES = sorted((ROOT / "src" / "gossipgd").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_stays_below_the_compile_step(path):
+    """Each module compiles below the ~4,096-token step in ``compile()``'s peak.
+
+    The benchmark's processes compile the package from source, so its peak
+    RSS includes the compiler's: tracemalloc read 1,541 KB for ``compile()``
+    of a module padded to 4,093 parser tokens and 1,786 KB at 4,133, a step
+    that showed as +0.3 MB in ``peak_rss_mb``.  A change that takes a module
+    past it fails here rather than in the benchmark.  Tokens are counted as
+    ``tokenize`` yields them, leaving out comments and blank lines (COMMENT
+    and NL).
+    """
+    with path.open(encoding="utf-8") as fh:
+        tokens = tokenize.generate_tokens(fh.readline)
+        count = sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens)
+    assert count < TOKEN_BUDGET, f"{path.name} holds {count} parser tokens"

@@ -247,6 +247,25 @@ def test_stats_hold_one_agent_at_a_time(sampler, mode, n, m, d, copies):
     assert peak < 2 * samples + copies * statistics
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_stats_grown_by_half_peak_near_the_statistics(n):
+    # an iterable of unknown length grows its stacks by half their rows
+    # (rounded up), so at n = 3 and 5 the last stack is full and holds no
+    # spare rows while the last agent is drawn: 2.03x and 1.82x the
+    # statistics, against 2.37x and 2.22x when a stack doubled
+    prob = make_problem(64, 0.5, 1.0, noise_sigma=0.5, sampler="gaussian")
+    sample_agent_data(prob, 128, 0, seed=9)
+    tracemalloc.start()
+    try:
+        stats = AgentStats.from_data(sample_agent_data(prob, 128, v, seed=9) for v in range(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.mode == "dense" and stats.n == n
+    statistics = sum(a.nbytes for a in vars(stats).values() if isinstance(a, np.ndarray))
+    assert peak < 2.1 * statistics
+
+
 @pytest.mark.parametrize(
     "sampler,mode,n,m,d",
     [
@@ -285,7 +304,7 @@ def test_stats_start_on_cache_lines(sampler, mode, n, m, d):
                          ("gaussian", "stream", 16, 64)]
 )
 def test_stats_grown_from_a_generator_keep_the_stacked_bits(sampler, mode, m, d, n):
-    # an iterable of unknown length grows the stacks by doubling and cuts
+    # an iterable of unknown length grows the stacks by half and cuts
     # them to n rows at the end; they still start on a cache line and hold
     # the per-agent moments stacked and divided by m
     prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
@@ -448,6 +467,82 @@ def test_single_agent_equals_pooled():
     result = run(prob, datasets, P, StepSchedule(0.1), T=50)
     assert np.allclose(result.final.local[0], result.final.pooled, atol=1e-14)
     assert np.all(result.records.network_err[:, 0] <= 1e-28)
+
+
+# (sampler, n, m, d, the machine's mode): diag; dense; stream agents whose
+# n * m samples reach d (above it and at it), so the machine is dense; and
+# stream agents whose n * m samples stay below d, so the machine streams too
+SINGLE_MACHINES = [
+    ("coordinate", 4, 32, 16, "diag"),
+    ("gaussian", 4, 32, 16, "dense"),
+    ("gaussian", 4, 8, 16, "dense"),
+    ("gaussian", 4, 4, 16, "dense"),
+    ("gaussian", 3, 4, 16, "stream"),
+]
+
+
+@pytest.mark.parametrize("sampler,n,m,d,mode", SINGLE_MACHINES)
+def test_single_machine_holds_the_concatenated_samples(sampler, n, m, d, mode):
+    # the pooled machine's statistics are those of one agent holding every
+    # agent's samples, up to rounding
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
+    agents = [sample_agent_data(prob, m, v, seed=5) for v in range(n)]
+    stats = AgentStats.from_data(agents)
+    machine = stats._single_machine()
+    def stacked(name):
+        return np.concatenate([getattr(a, name) for a in agents])
+
+    if sampler == "coordinate":
+        one = CoordinateData(stacked("picks"), stacked("vals"), stacked("y"), d, agent_id=0)
+    else:
+        one = AgentData(stacked("x"), stacked("y"), agent_id=0)
+    want = AgentStats.from_data([one])
+    assert machine.mode == want.mode == mode and machine.n == 1
+    for name in ("xy", "cov_diag", "cov", "x"):
+        got, ref = getattr(machine, name), getattr(want, name)
+        assert (got is None) == (ref is None), name
+        if ref is not None:
+            assert got.shape == ref.shape, name
+            assert np.allclose(got, ref, rtol=1e-12, atol=0.0), name
+    if mode == "stream":
+        assert np.shares_memory(machine.x, stats.x)
+
+
+def pooled_by_agent_means(stats, sched, T):
+    """The pooled iterates from the mean of the n agents' gradients, t = 1 .. T."""
+    p, path = np.zeros(stats.xy.shape[1]), []
+    for t in range(1, T + 1):
+        path.append(p)
+        p = p - sched.at(t) * (np.add.reduce(stats.gradients(p), 0) / stats.n)
+    return path
+
+
+@pytest.mark.parametrize("sampler,n,m,d,mode", SINGLE_MACHINES)
+def test_pooled_iterate_stays_with_the_agent_mean_recursion(sampler, n, m, d, mode):
+    # the single machine's gradient rounds apart from the mean of the agents'
+    # n gradients, and over 200 steps the two pooled paths stay together
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
+    agents = [sample_agent_data(prob, m, v, seed=5) for v in range(n)]
+    stats = AgentStats.from_data(agents)
+    sched = StepSchedule(min(0.05, 1.0 / prob.kappa_sq))
+    states = []
+    run(prob, agents, matrix("cycle", n), sched, T=200, observer=states.append)
+    for state, want in zip(states, pooled_by_agent_means(stats, sched, 200), strict=True):
+        gap = np.linalg.norm(state.pooled - want)
+        assert gap <= 1e-13 * np.linalg.norm(want), state.t
+
+
+@pytest.mark.parametrize("sampler,m", [("coordinate", 32), ("gaussian", 32), ("gaussian", 8)])
+def test_one_agent_pooled_iterate_keeps_the_agent_mean_bits(sampler, m):
+    # at n = 1 the machine is the agent, and the pooled step keeps its bits
+    prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
+    agents = [sample_agent_data(prob, m, 0, seed=5)]
+    stats = AgentStats.from_data(agents)
+    sched = StepSchedule(0.05, 0.5)
+    states = []
+    run(prob, agents, matrix("complete", 1), sched, T=200, observer=states.append)
+    for state, want in zip(states, pooled_by_agent_means(stats, sched, 200), strict=True):
+        assert np.array_equal(bits(state.pooled), bits(want)), state.t
 
 
 def test_noiseless_excess_is_monotone():
