@@ -18,6 +18,11 @@ import numpy as np
 
 from .problem import AgentData, CoordinateData, SpectralProblem
 
+# a sweep job's per-agent record rows wait for their reduction over agents in
+# a buffer of at most this many bytes (see _Summary), under glibc's mmap
+# threshold, so it is not mapped and page-faulted anew for every job
+_STAGE_BYTES = 64 * 1024
+
 
 @dataclass(frozen=True)
 class Records:
@@ -96,6 +101,87 @@ def decompose(states, problem: SpectralProblem) -> Records:
         popcov_err=popcov_err,
         residual_err=residual_err,
     )
+
+
+class _Columns:
+    """:func:`~gossipgd.engine.run`'s record columns, allocated on the first scored block."""
+
+    def __init__(self, rows):
+        self.rows, self.filled, self.columns = rows, 0, {}
+
+    def __call__(self, block):
+        scored = vars(block)
+        if not self.columns:
+            self.columns = {
+                name: np.empty((self.rows, *col.shape[1:]), col.dtype)
+                for name, col in scored.items()
+            }
+        start = self.filled
+        self.filled += len(block)
+        for name, col in scored.items():
+            self.columns[name][start : self.filled] = col
+
+    def records(self):
+        return Records(**{name: col[: self.filled] for name, col in self.columns.items()})
+
+
+class _Summary:
+    """A run's records reduced over agents as each scored block arrives.
+
+    ``t`` holds the recorded iterations and ``table`` one row for each of
+    ``COLUMNS``: each per-agent column's mean over agents, then its max,
+    then the agent-shared columns; ``filled`` rows of both are set once
+    :meth:`records` has returned.  The per-agent columns are staged and
+    reduced when the stage is full, in two NumPy calls for many blocks (a
+    block holds as few as two states at n = 4, d = 512).  Each row is
+    reduced over the contiguous agent axis, which has the bits of the whole
+    column's reduction.
+    """
+
+    PER_AGENT = ("excess", "network_err", "popcov_err", "residual_err")
+    SHARED = ("bias_sq", "sample_var", "consensus_err")
+    COLUMNS = (*(f"{c}_mean" for c in PER_AGENT), *(f"{c}_max" for c in PER_AGENT), *SHARED)
+
+    def __init__(self, rows):
+        self.rows, self.table = rows, None
+        self.filled = self.staged = 0  # rows copied, and rows of them still staged
+
+    def __call__(self, block):
+        k, cols = len(block), vars(block)
+        if self.table is None:
+            self._allocate(k, cols["excess"].shape[1])
+        elif self.staged + k > self.stage.shape[1]:
+            self._reduce()
+        start, staged = self.filled, self.staged
+        self.filled, self.staged = start + k, staged + k
+        self.t[start : self.filled] = cols["t"]
+        for row, name in zip(self.shared, self.SHARED):
+            row[start : self.filled] = cols[name]
+        for plane, name in zip(self.planes, self.PER_AGENT):
+            plane[staged : self.staged] = cols[name]
+
+    def _allocate(self, k, n):
+        # on the first block, after the statistics build and its peak; no
+        # later block of a run holds more rows than its first
+        self.t = np.empty(self.rows, np.int64)
+        self.table = np.empty((len(self.COLUMNS), self.rows))
+        self.shared = list(self.table[-len(self.SHARED) :])
+        stage_rows = max(k, _STAGE_BYTES // (len(self.PER_AGENT) * n * 8))
+        self.stage = np.empty((len(self.PER_AGENT), min(stage_rows, self.rows), n))
+        self.planes = list(self.stage)
+
+    def _reduce(self):
+        staged, rows = self.stage[:, : self.staged], slice(self.filled - self.staged, self.filled)
+        p = len(self.PER_AGENT)
+        staged.mean(axis=2, out=self.table[:p, rows])
+        staged.max(axis=2, out=self.table[p : 2 * p, rows])
+        self.staged = 0
+
+    def records(self):
+        """Reduce what is still staged; the summary stands in for the records."""
+        if self.staged:
+            self._reduce()
+        return self
 
 
 def popcov_step(

@@ -4,7 +4,8 @@ Each iteration advances four coupled recursions on the same step sequence:
 
 * ``local``: the per-agent gossip iterates (the algorithm under study),
 * ``pooled``: single-machine gradient descent on the union of all samples,
-  one gradient per step on their pooled statistics,
+  one gradient per step on their pooled statistics; in diag mode it reads
+  no local iterate and advances with the population, a block ahead,
 * ``population``: noiseless descent on the exact covariance,
 * ``popcov``: linear accumulators that isolate the covariance-driven part
   of each agent's deviation from the pooled iterate.
@@ -14,11 +15,11 @@ Keeping them in lockstep is what makes the error decomposition in
 
 :func:`run` advances all four in one fused step per iteration, computing
 the step-size factors once per step size (once per run when ``theta = 0``).
-The half of the step that reads no iterate (population, noise terms,
-popcov_avg increments) is computed a block of steps ahead.  The public
-one-step helpers (:func:`dgd_step`, :func:`single_machine_step`,
-:func:`population_step`, :func:`noise_terms` and
-:func:`gossipgd.diagnostics.popcov_step`) are its reference: the fused step
+The half of the step that reads no local iterate (population, noise terms,
+popcov_avg increments, and in diag mode the pooled iterate) is computed a
+block of steps ahead.  The public one-step helpers (:func:`dgd_step`,
+:func:`single_machine_step`, :func:`population_step`, :func:`noise_terms`
+and :func:`gossipgd.diagnostics.popcov_step`) are its reference: the fused step
 evaluates each of their expressions in the same order, in a block or not,
 so every state :func:`run` reaches is their step from the state before,
 bit for bit.
@@ -56,11 +57,6 @@ DIVERGENCE_NORM = 1e12
 # Xeon VM)
 _BLOCK_BYTES = 32 * 1024
 
-# a sweep job's per-agent record rows wait for their reduction over agents in
-# a buffer of at most this many bytes (see _Summary), under glibc's mmap
-# threshold, so it is not mapped and page-faulted anew for every job
-_STAGE_BYTES = 64 * 1024
-
 
 class DivergenceError(RuntimeError):
     """Iterates left the trust region; carries the failing iteration and the records."""
@@ -79,8 +75,8 @@ class StepSchedule:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not 0.0 < self.eta < math.inf:  # also false for nan
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         check_theta(self.theta)
 
     def at(self, t: int) -> float:
@@ -362,31 +358,43 @@ class _Counted:
         return self.count
 
 
-def _population_block(stats, problem, population, steps):
-    """The half of K = ``len(steps)`` fused steps that reads no iterate.
+def _population_block(stats, tau, rows, steps, recursion, F):
+    """The half of K = ``len(steps)`` fused steps that reads no local iterate.
 
-    Returns the population after each step (K, d), each step's
-    ``eta * noise`` (K, n, d) and popcov_avg increment (K, d).  The path is
-    its own sequential recursion and one ``gradients`` call on its stacked
-    (K, 1, d) points gives every step's noise, each expression as the
-    fused step has it, so no bit moves.
+    ``rows`` are the iterates it advances, each by its own elementwise
+    recursion ``x - F * (G * x - H)``: in diag mode ``[pooled, population]``
+    with ``G = [c, 1]`` and ``H = [xy, target]`` for the pooled machine's
+    diagonal ``c`` and its ``xy``, else ``[population]`` with no ``G`` and
+    ``H = target``.  ``recursion`` is ``(G, H, S)``, and a step of size eta
+    has ``F = eta * S`` for ``S = [1, tau]`` or ``[tau]``: ``F`` is the
+    first step's, computed once per step size, and a block of decaying
+    steps stacks its own.  ``1 * p`` is exact and the products commute, so
+    the rows keep the bits of :func:`single_machine_step` and
+    :func:`population_step`.
+
+    Returns the rows after each step (K, r, d), each step's ``eta * noise``
+    (K, n, d) and popcov_avg increment (K, d).  One ``gradients`` call on
+    the stacked (K, 1, d) population points gives every step's noise, each
+    expression as the fused step has it, so no bit moves.
     """
-    tau, target, K = problem.tau, problem.target, len(steps)
-    if steps.count(steps[0]) == K:  # one step size: its factors are scalars, computed once
+    G, H, S = recursion
+    K = len(steps)
+    if steps.count(steps[0]) == K:  # one step size: its factors are computed once
         eta = eta_rows = steps[0]
-        eta_taus = [eta * tau] * K
+        factors = [F] * K
     else:
         eta = np.array(steps)[:, None, None]
         eta_rows = eta[:, :, 0]
-        eta_taus = eta_rows * tau
-    path = np.empty((K + 1, problem.d))
-    path[0] = population
-    gap = np.empty((K, problem.d))
-    for now, later, gap_now, eta_tau in zip(path, path[1:], gap, eta_taus):
-        np.subtract(now, target, out=gap_now)
-        np.subtract(now, eta_tau * gap_now, out=later)
-    noise = stats.gradients(path[:-1, None, :])
-    np.subtract((tau * gap)[:, None, :], noise, out=noise)
+        factors = eta * S
+    path = np.empty((K + 1, *rows.shape))
+    path[0] = rows
+    gap = np.empty((K, *rows.shape))
+    for now, later, gap_now, f in zip(path, path[1:], gap, factors):
+        np.subtract(now if G is None else np.multiply(G, now, out=gap_now), H, out=gap_now)
+        np.multiply(f, gap_now, out=later)
+        np.subtract(now, later, out=later)
+    noise = stats.gradients(path[:-1, -1:])
+    np.subtract((tau * gap[:, -1])[:, None, :], noise, out=noise)
     increment = eta_rows * (np.add.reduce(noise, 1) / stats.n)
     noise *= eta
     return path[1:], noise, increment
@@ -418,12 +426,14 @@ def run(
     once; they are returned as one columnar
     :class:`~gossipgd.diagnostics.Records`.
 
-    The population side of the step, which reads no iterate, is computed
-    by :func:`_population_block` as many steps ahead as a record block
-    holds (at least one, never past T); the states keep their bits.  A
-    block that raises a floating-point overflow or invalid operation is
-    dropped, and the run goes on a step at a time, so it warns about the
-    steps it reaches and no others.
+    The population side of the step, which reads no local iterate, is
+    computed by :func:`_population_block` as many steps ahead as a record
+    block holds (at least one, never past T); in diag mode the pooled
+    machine's step, elementwise as the population's, advances with it, and
+    in dense and stream modes it takes one ``gradients`` call per step.
+    The states keep their bits.  A block that raises a floating-point
+    overflow or invalid operation is dropped, and the run goes on a step at
+    a time, so it warns about the steps it reaches and no others.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -464,7 +474,7 @@ def run(
     block = max(1, _BLOCK_BYTES // local.nbytes)
     store = _STORE.get()  # a sweep job's own store, or else the record columns
     if store is None:
-        store = _Columns(_recorded_rows(T, stride))
+        store = diagnostics._Columns(_recorded_rows(T, stride))
     pending = []  # recorded states not yet scored
 
     def flush():
@@ -474,6 +484,14 @@ def run(
 
     tau, gossip, machine = problem.tau, P.entries, stats._single_machine()
     gradients = stats.gradients
+    if stats.mode == "diag":  # the pooled step is elementwise: it joins the population's
+        ones = np.ones(d)
+        G = np.stack([machine.cov_diag[0], ones])
+        recursion = (G, np.stack([machine.xy[0], problem.target]), np.stack([ones, tau]))
+    else:
+        G = None
+        recursion = (G, problem.target, tau[None])
+    rows = np.zeros(recursion[2].shape)  # the rows _population_block advances, at t = 1
     after = variant == "gossip_after_gradient"
     eta = None  # the step size the factors below were computed for
     first = end = 1  # the population side is computed for steps first .. end - 1
@@ -497,6 +515,7 @@ def run(
             eta = eta_t
             decay = 1.0 - eta * tau
             decay_rows = np.tile(decay, (n, 1))
+            F = eta * recursion[2]
         local = state.local
         if after:
             new_local = gossip @ (local - eta * gradients(local))
@@ -514,18 +533,21 @@ def run(
             quiet = not errors
             steps = [sched.at(s) for s in range(t, min(t + block, T) if quiet else t + 1)]
             with np.errstate(call=note, over="call", invalid="call") if quiet else nullcontext():
-                ahead = _population_block(stats, problem, state.population, steps)
+                ahead = _population_block(stats, tau, rows, steps, recursion, F)
             if quiet and errors:
                 steps = steps[:1]
-                ahead = _population_block(stats, problem, state.population, steps)
-            population, eta_noise, increment = ahead
+                ahead = _population_block(stats, tau, rows, steps, recursion, F)
+            path, eta_noise, increment = ahead
+            rows = path[-1]
             first, end = t, t + len(steps)
         k = t - first
         state = TrainState(
             t=t + 1,
             local=new_local,
-            pooled=state.pooled - eta * machine.gradients(state.pooled)[0],
-            population=population[k],
+            pooled=path[k, 0] if G is not None else (
+                state.pooled - eta * machine.gradients(state.pooled)[0]
+            ),
+            population=path[k, -1],
             popcov_state=gossip @ (decay_rows * state.popcov_state + eta_noise[k]),
             popcov_avg=decay * state.popcov_avg + increment[k],
         )
@@ -537,88 +559,6 @@ def _recorded_rows(T: int, stride: int) -> int:
     """The states a run that reaches T records: every stride-th one and the last."""
     return T // stride + (T % stride != 0)
 
-
-class _Columns:
-    """:func:`run`'s record columns: allocated once, on the first scored block."""
-
-    def __init__(self, rows):
-        self.rows, self.filled, self.columns = rows, 0, {}
-
-    def __call__(self, block):
-        scored = vars(block)
-        if not self.columns:
-            self.columns = {
-                name: np.empty((self.rows, *col.shape[1:]), col.dtype)
-                for name, col in scored.items()
-            }
-        start = self.filled
-        self.filled += len(block)
-        for name, col in scored.items():
-            self.columns[name][start : self.filled] = col
-
-    def records(self):
-        return diagnostics.Records(
-            **{name: col[: self.filled] for name, col in self.columns.items()}
-        )
-
-
-class _Summary:
-    """A run's records reduced over agents as each scored block arrives.
-
-    ``t`` holds the recorded iterations and ``table`` one row for each of
-    ``COLUMNS``: each per-agent column's mean over agents, then its max,
-    then the agent-shared columns; ``filled`` rows of both are set once
-    :meth:`records` has returned.  The per-agent columns are staged and
-    reduced when the stage is full, in two NumPy calls for many blocks (a
-    block holds as few as two states at n = 4, d = 512).  Each row is
-    reduced over the contiguous agent axis, which has the bits of the whole
-    column's reduction.
-    """
-
-    PER_AGENT = ("excess", "network_err", "popcov_err", "residual_err")
-    SHARED = ("bias_sq", "sample_var", "consensus_err")
-    COLUMNS = (*(f"{c}_mean" for c in PER_AGENT), *(f"{c}_max" for c in PER_AGENT), *SHARED)
-
-    def __init__(self, rows):
-        self.rows, self.table = rows, None
-        self.filled = self.staged = 0  # rows copied, and rows of them still staged
-
-    def __call__(self, block):
-        k, cols = len(block), vars(block)
-        if self.table is None:
-            self._allocate(k, cols["excess"].shape[1])
-        elif self.staged + k > self.stage.shape[1]:
-            self._reduce()
-        start, staged = self.filled, self.staged
-        self.filled, self.staged = start + k, staged + k
-        self.t[start : self.filled] = cols["t"]
-        for row, name in zip(self.shared, self.SHARED):
-            row[start : self.filled] = cols[name]
-        for plane, name in zip(self.planes, self.PER_AGENT):
-            plane[staged : self.staged] = cols[name]
-
-    def _allocate(self, k, n):
-        # on the first block, after the statistics build and its peak; no
-        # later block of a run holds more rows than its first
-        self.t = np.empty(self.rows, np.int64)
-        self.table = np.empty((len(self.COLUMNS), self.rows))
-        self.shared = list(self.table[-len(self.SHARED) :])
-        stage_rows = max(k, _STAGE_BYTES // (len(self.PER_AGENT) * n * 8))
-        self.stage = np.empty((len(self.PER_AGENT), min(stage_rows, self.rows), n))
-        self.planes = list(self.stage)
-
-    def _reduce(self):
-        staged, rows = self.stage[:, : self.staged], slice(self.filled - self.staged, self.filled)
-        p = len(self.PER_AGENT)
-        staged.mean(axis=2, out=self.table[:p, rows])
-        staged.max(axis=2, out=self.table[p : 2 * p, rows])
-        self.staged = 0
-
-    def records(self):
-        """Reduce what is still staged; the summary stands in for the records."""
-        if self.staged:
-            self._reduce()
-        return self
 
 # where run() puts its scored blocks when not in its own record columns
 _STORE = contextvars.ContextVar("store", default=None)
@@ -632,8 +572,9 @@ def _records_to(store):
     :class:`~gossipgd.diagnostics.Records`, in order, and what its
     ``records()`` returns takes the record columns' place in the
     :class:`RunResult` or :class:`DivergenceError`; ``None`` restores the
-    columns.  A sweep job keeps only a :class:`_Summary` this way and still
-    goes through :func:`run`, the name the benchmark's tracer wraps.
+    columns.  A sweep job keeps only a
+    :class:`~gossipgd.diagnostics._Summary` this way and still goes through
+    :func:`run`, the name the benchmark's tracer wraps.
     """
     token = _STORE.set(store)
     try:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine
+from . import diagnostics, engine
 from .diagnostics import fit_loglog_slope
 from .problem import SAMPLERS, make_problem, sample_agent_data
 from .topology import (
@@ -266,7 +266,7 @@ def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate:
     # drawn one agent at a time as the statistics build consumes them
     datasets = (sample_agent_data(problem, m, v, seed) for v in range(n))
     T, stride = updates + 1, cfg.stride or max(1, updates // 200)
-    summary = engine._Summary(engine._recorded_rows(T, stride))
+    summary = diagnostics._Summary(engine._recorded_rows(T, stride))
 
     diverged_at = -1
     with engine._records_to(summary):

@@ -122,6 +122,9 @@ def tune_plan(
     factor so that ``eta * t_stop = kappa_sq^-1 * (nm)^(1/(2r+gamma))``
     always holds.  The regime label records which effect priced the plan.
     """
+    for name, value in (("r", r), ("kappa_sq", kappa_sq)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     _validate_common(n, m, r, gamma, sigma2)
     if kappa_sq <= 0.0:
         raise ValueError("kappa_sq must be positive")

@@ -119,6 +119,13 @@ def test_bad_tune_arguments_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_tune_names_a_non_finite_argument(capsys):
+    argv = ["tune", "--n", "4", "--m", "16", "--r", "inf", "--gamma", "0.5",
+            "--sigma2", "0", "--kappa-sq", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: r must be finite, got inf\n"
+
+
 def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])

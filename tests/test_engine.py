@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 import tracemalloc
 import warnings
 
@@ -658,6 +659,27 @@ def test_fused_step_equals_the_reference_helpers(sampler, m, mode, variant, thet
     assert_states_follow_the_reference(states, stats, prob, P, sched, variant)
 
 
+@pytest.mark.parametrize("sampler,m,mode", [("coordinate", 32, "diag"), ("gaussian", 32, "dense"),
+                                            ("gaussian", 8, "stream")])
+def test_pooled_machine_takes_a_gradient_per_step_outside_diag_mode(monkeypatch, sampler, m, mode):
+    # in diag mode the pooled machine advances with the population, a block
+    # ahead, without calling gradients; the other modes step it once per update
+    prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
+    datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(6)]
+    assert AgentStats.from_data(datasets).mode == mode
+    gradients, calls = AgentStats.gradients, []
+
+    def counted(stats, W):
+        calls.append(stats.n)
+        return gradients(stats, W)
+
+    monkeypatch.setattr(AgentStats, "gradients", counted)
+    T = 40
+    run(prob, datasets, matrix("cycle", 6), StepSchedule(0.05), T=T)
+    assert calls.count(1) == (0 if mode == "diag" else T - 1)
+    assert calls.count(6) > 0
+
+
 # (d, n, T): one-step blocks; then several blocks with T - 1 updates not a
 # multiple of the block, at d = 1 also with n past 8, where a sum over
 # agents could switch to pairwise summation
@@ -979,6 +1001,12 @@ def test_large_step_warns_and_boundary_does_not():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run(prob, datasets, P, StepSchedule(0.25), T=3)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf])
+def test_step_schedule_rejects_a_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
+        StepSchedule(eta)
 
 
 def test_step_schedule():

@@ -130,6 +130,15 @@ def test_tune_plan_rejects(args):
         tune_plan(*args)
 
 
+@pytest.mark.parametrize("name", ["r", "kappa_sq"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_tune_plan_rejects_a_non_finite_argument(name, value):
+    args = dict(n=4, m=16, r=1.0, gamma=0.5, sigma2=0.5, kappa_sq=1.0)
+    args[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        tune_plan(**args)
+
+
 # --------------------------------------------------------- mixing_cutoff
 
 
