@@ -364,10 +364,10 @@ def _population_block(stats, tau, rows, steps, recursion, F):
     ``rows`` are the iterates it advances, each by its own elementwise
     recursion ``x - F * (G * x - H)``: in diag mode ``[pooled, population]``
     with ``G = [c, 1]`` and ``H = [xy, target]`` for the pooled machine's
-    diagonal ``c`` and its ``xy``, else ``[population]`` with no ``G`` and
-    ``H = target``.  ``recursion`` is ``(G, H, S)``, and a step of size eta
-    has ``F = eta * S`` for ``S = [1, tau]`` or ``[tau]``: ``F`` is the
-    first step's, computed once per step size, and a block of decaying
+    diagonal ``c`` and its ``xy``, else ``[population]`` with ``G = [1]``
+    and ``H = [target]``.  ``recursion`` is ``(G, H, S)``, and a step of
+    size eta has ``F = eta * S`` for ``S = [1, tau]`` or ``[tau]``: ``F`` is
+    the first step's, computed once per step size, and a block of decaying
     steps stacks its own.  ``1 * p`` is exact and the products commute, so
     the rows keep the bits of :func:`single_machine_step` and
     :func:`population_step`.
@@ -390,7 +390,8 @@ def _population_block(stats, tau, rows, steps, recursion, F):
     path[0] = rows
     gap = np.empty((K, *rows.shape))
     for now, later, gap_now, f in zip(path, path[1:], gap, factors):
-        np.subtract(now if G is None else np.multiply(G, now, out=gap_now), H, out=gap_now)
+        np.multiply(G, now, out=gap_now)
+        np.subtract(gap_now, H, out=gap_now)
         np.multiply(f, gap_now, out=later)
         np.subtract(now, later, out=later)
     noise = stats.gradients(path[:-1, -1:])
@@ -483,14 +484,13 @@ def run(
             pending.clear()
 
     tau, gossip, machine = problem.tau, P.entries, stats._single_machine()
-    gradients = stats.gradients
-    if stats.mode == "diag":  # the pooled step is elementwise: it joins the population's
-        ones = np.ones(d)
-        G = np.stack([machine.cov_diag[0], ones])
-        recursion = (G, np.stack([machine.xy[0], problem.target]), np.stack([ones, tau]))
+    gradients, ones = stats.gradients, np.ones(d)
+    pooled_ahead = stats.mode == "diag"  # the pooled step is elementwise: it joins the population's
+    if pooled_ahead:
+        c, xy = machine.cov_diag[0], machine.xy[0]
+        recursion = (np.stack([c, ones]), np.stack([xy, problem.target]), np.stack([ones, tau]))
     else:
-        G = None
-        recursion = (G, problem.target, tau[None])
+        recursion = (ones[None], problem.target[None], tau[None])
     rows = np.zeros(recursion[2].shape)  # the rows _population_block advances, at t = 1
     after = variant == "gossip_after_gradient"
     eta = None  # the step size the factors below were computed for
@@ -544,7 +544,7 @@ def run(
         state = TrainState(
             t=t + 1,
             local=new_local,
-            pooled=path[k, 0] if G is not None else (
+            pooled=path[k, 0] if pooled_ahead else (
                 state.pooled - eta * machine.gradients(state.pooled)[0]
             ),
             population=path[k, -1],

@@ -83,8 +83,8 @@ def check_theta(theta: float) -> None:
 def _validate_common(n, m, r, gamma, sigma2):
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    if r < 0.5:
-        raise ValueError(f"smoothness exponent r must be >= 1/2, got {r}")
+    if not 0.5 <= r < math.inf:  # also false for nan
+        raise ValueError(f"smoothness exponent r must be finite and >= 1/2, got {r}")
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     if not 0.0 <= sigma2 < 1.0:
@@ -122,12 +122,9 @@ def tune_plan(
     factor so that ``eta * t_stop = kappa_sq^-1 * (nm)^(1/(2r+gamma))``
     always holds.  The regime label records which effect priced the plan.
     """
-    for name, value in (("r", r), ("kappa_sq", kappa_sq)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
     _validate_common(n, m, r, gamma, sigma2)
-    if kappa_sq <= 0.0:
-        raise ValueError("kappa_sq must be positive")
+    if not 0.0 < kappa_sq < math.inf:  # also false for nan
+        raise ValueError(f"kappa_sq must be positive and finite, got {kappa_sq}")
 
     nm = float(n * m)
     gap = 1.0 - sigma2

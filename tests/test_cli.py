@@ -123,7 +123,8 @@ def test_tune_names_a_non_finite_argument(capsys):
     argv = ["tune", "--n", "4", "--m", "16", "--r", "inf", "--gamma", "0.5",
             "--sigma2", "0", "--kappa-sq", "1"]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: r must be finite, got inf\n"
+    err = capsys.readouterr().err
+    assert err == "error: smoothness exponent r must be finite and >= 1/2, got inf\n"
 
 
 def test_no_subcommand_is_usage_error():

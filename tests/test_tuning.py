@@ -135,7 +135,7 @@ def test_tune_plan_rejects(args):
 def test_tune_plan_rejects_a_non_finite_argument(name, value):
     args = dict(n=4, m=16, r=1.0, gamma=0.5, sigma2=0.5, kappa_sq=1.0)
     args[name] = value
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    with pytest.raises(ValueError, match=rf"\b{name} must be (positive and )?finite"):
         tune_plan(**args)
 
 
