@@ -284,8 +284,8 @@ def fit_loglog_slope(xs, ys) -> tuple[float, float, float]:
         raise ValueError("xs and ys must be 1-d arrays of equal length")
     if xs.shape[0] < 3:
         raise ValueError("need at least 3 points for a slope fit")
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise ValueError("log-log fit needs positive values")
+    if not np.all((0.0 < xs) & (xs < np.inf) & (0.0 < ys) & (ys < np.inf)):  # also false for nan
+        raise ValueError("log-log fit needs positive finite values")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

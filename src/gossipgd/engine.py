@@ -22,17 +22,18 @@ block of steps ahead.  The public one-step helpers (:func:`dgd_step`,
 and :func:`gossipgd.diagnostics.popcov_step`) are its reference: the fused step
 evaluates each of their expressions in the same order, in a block or not,
 so every state :func:`run` reaches is their step from the state before,
-bit for bit.
+bit for bit.  :func:`run` scores the states it records in blocks and hands
+each block to a record store, its ``store`` argument: by default the run's
+record columns, and in a sweep job a summary that keeps only the CSV cells.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import operator
 import warnings
 from collections.abc import Iterable
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,10 +117,12 @@ class AgentStats:
         ``diag``, ``AgentData`` gives ``dense`` when m >= d and ``stream``
         otherwise.  Mixing the two types is an error.  Every agent is checked
         and reduced when it arrives, written into the stacks and dropped;
-        only the stream mode keeps its ``x``.  Each stack is allocated for
-        the iterable's ``operator.length_hint`` on a 64-byte boundary and
-        divided by m in place at the end: the bits of ``np.stack(...) / m``
-        at a peak of one stack and one agent, not two stacks.
+        only the stream mode keeps its ``x``.  Every statistic is float64,
+        whatever the agents' dtype.  Each stack is allocated for the
+        iterable's ``operator.length_hint`` on a 64-byte boundary and divided
+        by m in place at the end: the bits of
+        ``np.stack(..., dtype=np.float64) / m`` at a peak of one stack and
+        one agent, not two stacks.
         """
         shape = coordinate = stacks = None
         capacity = operator.length_hint(datasets)
@@ -202,41 +205,30 @@ _CACHE_LINE = 64
 
 
 class _Stack:
-    """One statistic, stacked a row at a time on a cache line.
+    """One float64 statistic, stacked a row at a time on a cache line.
 
     A full buffer grows by half its rows, rounded up, by reallocation
     (``ndarray.resize``), so old and new are never both held; :meth:`done`
     cuts it to its rows and moves them back onto the boundary if a
-    reallocation moved the buffer.  The dtype is the one
-    ``np.stack(rows) / divisor`` would have.
+    reallocation moved the buffer.  Each row is cast to float64 as it is
+    written.
     """
 
     def __init__(self, row, capacity, divisor=None):
         self.shape, self.rows, self.capacity, self.divisor = row.shape, 0, max(capacity, 1), divisor
-        self.dtype = np.result_type(row.dtype, 1.0) if divisor is not None else row.dtype
-        self._allocate()
-
-    def _nbytes(self, rows):
-        return rows * math.prod(self.shape) * self.dtype.itemsize
-
-    def _allocate(self):
         self.raw = np.empty(self._nbytes(self.capacity) + _CACHE_LINE, np.uint8)
         self.start = -self.raw.ctypes.data % _CACHE_LINE
 
+    def _nbytes(self, rows):
+        return rows * math.prod(self.shape) * 8
+
     def _view(self, rows):
         raw = self.raw[self.start : self.start + self._nbytes(rows)]
-        return raw.view(self.dtype).reshape(rows, *self.shape)
+        return raw.view(np.float64).reshape(rows, *self.shape)
 
     def append(self, row):
-        dtype = np.result_type(self.dtype, row.dtype)
-        full = self.rows == self.capacity
-        if full:
+        if self.rows == self.capacity:
             self.capacity += (self.capacity + 1) // 2
-        if dtype != self.dtype:  # a wider row recasts the rows so far, as np.stack would
-            rows, self.dtype = self._view(self.rows), dtype
-            self._allocate()
-            self._view(self.rows)[...] = rows
-        elif full:
             self.raw.resize(self._nbytes(self.capacity) + _CACHE_LINE)
         self._view(self.rows + 1)[-1] = row
         self.rows += 1
@@ -412,6 +404,7 @@ def run(
     stride: int = 1,
     initial_local: np.ndarray | None = None,
     observer=None,
+    store=diagnostics._Columns,
 ) -> RunResult:
     """Advance all processes in lockstep for T iterations.
 
@@ -423,9 +416,13 @@ def run(
     :class:`DivergenceError` is raised carrying them.  The
     recorded states are scored in blocks by
     :func:`gossipgd.diagnostics.decompose`, whose rows do not depend on the
-    block, and copied into the run's record columns, which are allocated
-    once; they are returned as one columnar
-    :class:`~gossipgd.diagnostics.Records`.
+    block, and each scored block is handed, in order, to the record store
+    ``store(rows)`` returns for the ``rows`` states the run can record.
+    What the store's ``records()`` returns is the ``records`` of the
+    :class:`RunResult` or :class:`DivergenceError`.  The default store is
+    the run's record columns, allocated once, which return one columnar
+    :class:`~gossipgd.diagnostics.Records`; a sweep job passes
+    :class:`~gossipgd.diagnostics._Summary`, which keeps only its CSV cells.
 
     The population side of the step, which reads no local iterate, is
     computed by :func:`_population_block` as many steps ahead as a record
@@ -473,9 +470,7 @@ def run(
     )
 
     block = max(1, _BLOCK_BYTES // local.nbytes)
-    store = _STORE.get()  # a sweep job's own store, or else the record columns
-    if store is None:
-        store = diagnostics._Columns(_recorded_rows(T, stride))
+    store = store(_recorded_rows(T, stride))
     pending = []  # recorded states not yet scored
 
     def flush():
@@ -559,25 +554,3 @@ def _recorded_rows(T: int, stride: int) -> int:
     """The states a run that reaches T records: every stride-th one and the last."""
     return T // stride + (T % stride != 0)
 
-
-# where run() puts its scored blocks when not in its own record columns
-_STORE = contextvars.ContextVar("store", default=None)
-
-
-@contextmanager
-def _records_to(store):
-    """Have :func:`run`, in this context, hand its scored blocks to ``store``.
-
-    ``store`` is called with each scored block of
-    :class:`~gossipgd.diagnostics.Records`, in order, and what its
-    ``records()`` returns takes the record columns' place in the
-    :class:`RunResult` or :class:`DivergenceError`; ``None`` restores the
-    columns.  A sweep job keeps only a
-    :class:`~gossipgd.diagnostics._Summary` this way and still goes through
-    :func:`run`, the name the benchmark's tracer wraps.
-    """
-    token = _STORE.set(store)
-    try:
-        yield
-    finally:
-        _STORE.reset(token)

@@ -266,14 +266,15 @@ def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate:
     # drawn one agent at a time as the statistics build consumes them
     datasets = (sample_agent_data(problem, m, v, seed) for v in range(n))
     T, stride = updates + 1, cfg.stride or max(1, updates // 200)
-    summary = diagnostics._Summary(engine._recorded_rows(T, stride))
 
     diverged_at = -1
-    with engine._records_to(summary):
-        try:
-            engine.run(problem, datasets, P, sched, T, variant=cfg.protocol, stride=stride)
-        except engine.DivergenceError as err:
-            diverged_at = err.iteration
+    try:
+        summary = engine.run(
+            problem, datasets, P, sched, T, variant=cfg.protocol, stride=stride,
+            store=diagnostics._Summary,
+        ).records
+    except engine.DivergenceError as err:
+        summary, diverged_at = err.records, err.iteration
 
     fixed = dict(
         sweep_index=sweep_index, n=n, m=m, replicate=replicate, eta=eta, theta=cfg.theta,

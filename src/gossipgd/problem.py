@@ -157,8 +157,8 @@ def excess_risk(problem: SpectralProblem, omega: np.ndarray) -> float:
 
 def effective_dimension(problem: SpectralProblem, lam: float) -> float:
     """``sum_i tau_i / (tau_i + lam)``, the dimension resolved at scale lam."""
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < math.inf:  # also false for nan
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     return float(np.sum(problem.tau / (problem.tau + lam)))
 
 

@@ -54,8 +54,10 @@ class RuntimeModel:
     grad_cost: float = 1.0
 
     def __post_init__(self):
-        if self.tau_delay < 0.0 or self.deg < 0:
-            raise ValueError("tau_delay and deg must be nonnegative")
+        if not (0.0 <= self.tau_delay < math.inf and self.deg >= 0):  # also false for nan
+            raise ValueError("tau_delay and deg must be nonnegative and finite")
+        if not 0.0 < self.grad_cost < math.inf:
+            raise ValueError(f"grad_cost must be positive and finite, got {self.grad_cost}")
 
     def iteration_time(self, m: int) -> float:
         return m * self.grad_cost + self.tau_delay + self.deg
@@ -202,8 +204,8 @@ def rate_terms(
     two endpoints the stopping rule optimizes over.  Logs are natural.
     """
     _validate_common(n, m, r, gamma, sigma2)
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < math.inf:  # also false for nan
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     if t < 2:
         raise ValueError("rate terms need t >= 2")
     check_theta(theta)

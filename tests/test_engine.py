@@ -332,6 +332,27 @@ def test_stats_of_mixed_precision_agents_take_the_widest_type():
         assert np.array_equal(bits(got), bits(np.stack(want) / 16))
 
 
+@pytest.mark.parametrize("m,mode", [(16, "dense"), (4, "stream")])
+def test_stats_of_float32_agents_are_float64(m, mode):
+    # every statistic is float64: the float32 moments stacked as float64, divided by m
+    prob = make_problem(8, 0.5, 1.0, noise_sigma=0.5, sampler="gaussian")
+    agents = [sample_agent_data(prob, m, v, seed=4) for v in range(3)]
+    narrow = [AgentData(x=a.x.astype(np.float32), y=a.y.astype(np.float32), agent_id=a.agent_id)
+              for a in agents]
+    stats = AgentStats.from_data(iter(narrow))
+    assert stats.mode == mode
+    xy, second = zip(*(engine._moments(a, mode == "dense") for a in narrow))
+    want = {"xy": np.stack(xy, dtype=np.float64) / m}
+    if mode == "dense":
+        want["cov"] = np.stack(second, dtype=np.float64) / m
+    else:
+        want["x"] = np.stack(second, dtype=np.float64)
+    for name, a in want.items():
+        got = getattr(stats, name)
+        assert got.dtype == np.float64 and got.ctypes.data % 64 == 0, name
+        assert np.array_equal(bits(got), bits(a)), name
+
+
 def test_diag_moments_do_not_copy_the_picks():
     # one agent's reduction holds one m-long temporary at a time and no copy
     # of the sampler's read-only picks
@@ -615,8 +636,13 @@ def test_stride_records_equal_stride_one_records(sampler, m, diverging_eta):
         assert_same_bits(spaced.records, row, every.records, t - 1)
 
 
-def reference_step(state, stats, prob, P, eta, variant):
-    """The state after ``state`` by the public one-step helpers."""
+def reference_step(state, stats, prob, P, eta, variant, machine=None):
+    """The state after ``state`` by the public one-step helpers.
+
+    Given ``machine``, ``stats._single_machine()`` built once by the caller,
+    the pooled iterate takes :func:`engine.single_machine_step`'s own
+    expression on it instead of building the machine anew.
+    """
     noise = engine.noise_terms(state.population, stats, prob)
     popcov_state, popcov_avg = popcov_step(
         state.popcov_state, state.popcov_avg, noise, P.entries, prob.tau, eta
@@ -624,7 +650,10 @@ def reference_step(state, stats, prob, P, eta, variant):
     return engine.TrainState(
         t=state.t + 1,
         local=engine.dgd_step(state.local, stats, P.entries, eta, variant),
-        pooled=engine.single_machine_step(state.pooled, stats, eta),
+        pooled=(
+            engine.single_machine_step(state.pooled, stats, eta) if machine is None
+            else state.pooled - eta * machine.gradients(state.pooled)[0]
+        ),
         population=population_step(state.population, prob, eta),
         popcov_state=popcov_state,
         popcov_avg=popcov_avg,
@@ -632,8 +661,11 @@ def reference_step(state, stats, prob, P, eta, variant):
 
 
 def assert_states_follow_the_reference(states, stats, prob, P, sched, variant):
+    # the first step calls single_machine_step itself; the others share one pooled machine
+    machine = None
     for prev, state in zip(states, states[1:]):
-        want = reference_step(prev, stats, prob, P, sched.at(prev.t), variant)
+        want = reference_step(prev, stats, prob, P, sched.at(prev.t), variant, machine)
+        machine = stats._single_machine() if machine is None else machine
         assert state.t == want.t
         for f in dataclasses.fields(state)[1:]:
             got = getattr(state, f.name)

@@ -1,11 +1,15 @@
 """Config parsing, the sweep runner, CSV output, and summaries."""
 
+import configparser
 import csv
+import dataclasses
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 from itertools import repeat
 from pathlib import Path
 
@@ -560,7 +564,9 @@ EARLY_DIVERGING_CONFIG = (
 def test_summarize_rejects_missing_block(tmp_path, damage):
     diverging, early = damage.startswith("diverged"), damage == "diverged_early"
     text = EARLY_DIVERGING_CONFIG if early else DIVERGING_CONFIG if diverging else BASE_CONFIG
-    out = run_experiment(load_config(write_config(tmp_path, text)), out_dir=tmp_path)
+    cfg = load_config(write_config(tmp_path, text))
+    with pytest.warns(RuntimeWarning, match=r"eta \* kappa_sq") if diverging else nullcontext():
+        out = run_experiment(cfg, out_dir=tmp_path)
     if diverging:
         ends = [(r["t"], r["diverged_at"]) for r in read_rows(out)][-2:]
         assert ends == ([("2", "3")] if early else [("16", "19"), ("18", "19")])
@@ -605,8 +611,9 @@ def test_sweep_columns_reduce_each_record_in_dense_and_stream_mode(tmp_path, mon
     def capture(problem, datasets, *args, **kwargs):
         datasets = list(datasets)  # an iterable of agents, read three times here
         modes.append(experiment.engine.AgentStats.from_data(datasets).mode)
-        with experiment.engine._records_to(None):  # a run that keeps its record columns
-            records.append(run(problem, datasets, *args, **kwargs).records)
+        # a run that keeps its record columns
+        columns = dict(kwargs, store=experiment.diagnostics._Columns)
+        records.append(run(problem, datasets, *args, **columns).records)
         return run(problem, datasets, *args, **kwargs)
 
     monkeypatch.setattr(experiment.engine, "run", capture)
@@ -682,11 +689,12 @@ def test_streamed_lines_equal_the_lines_of_the_whole_records(tmp_path, monkeypat
 
     def capture(problem, datasets, *args, **kwargs):
         datasets = list(datasets)  # an iterable of agents, read twice here
-        with experiment.engine._records_to(None):  # a run that keeps its record columns
-            try:
-                jobs.append((run(problem, datasets, *args, **kwargs).records, -1))
-            except experiment.engine.DivergenceError as err:
-                jobs.append((err.records, err.iteration))
+        # a run that keeps its record columns
+        columns = dict(kwargs, store=experiment.diagnostics._Columns)
+        try:
+            jobs.append((run(problem, datasets, *args, **columns).records, -1))
+        except experiment.engine.DivergenceError as err:
+            jobs.append((err.records, err.iteration))
         return run(problem, datasets, *args, **kwargs)
 
     monkeypatch.setattr(experiment.engine, "run", capture)
@@ -744,3 +752,82 @@ def test_summarize_merges_multiple_files(tmp_path):
     two = run_experiment(cfg, out_dir=tmp_path / "b")
     table = summarize([one, two])
     assert all(entry["runs"] == 6 for entry in table.rows)
+
+
+# ------------------------------------------------------------------- fuzz
+
+# values a fuzzed key takes: in and out of every key's range, non-finite,
+# malformed, and each kind of name the schema knows; no path separators, so
+# a fuzzed output stays in its directory, and no integer above 3, so every
+# config that loads runs in milliseconds
+FUZZ_TOKENS = (
+    "0", "1", "2", "3", "-1", "0.5", "1.5", "0.75", "1e-300", "1e308", "-0.0",
+    "nan", "inf", "-inf", "", "x", "1 2", "2, 3", "0-1 1-2 2-0", "0-0", "1-",
+    "auto", "coordinate", "gaussian", "cycle", "complete", "star", "grid2d",
+    "random_regular", "custom_edge_list", "metropolis_lazy", "max_degree",
+    "uniform_complete", "gossip_before_gradient", "..", "out.csv",
+)
+
+
+def fuzz_cases(count, seed):
+    """``count`` (config, section, key, token) cases drawn without replacement."""
+    schema = [(f.metadata["section"], f.metadata["key"] or f.name)
+              for f in dataclasses.fields(experiment.ExperimentConfig)]
+    configs = sorted((DEMOS / "configs").glob("*.ini"))
+    cases = [(c, *k, t) for c in configs for k in schema for t in FUZZ_TOKENS]
+    return random.Random(seed).sample(cases, count)
+
+
+def test_fuzzed_configs_fail_at_load_or_run(tmp_path):
+    # each committed config at T_max = 5 and one replicate, with one key set
+    # to one token: it is rejected at load with ValueError, or its sweep runs
+    failures = []
+    for i, (config, section, key, token) in enumerate(fuzz_cases(800, seed=31)):
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.optionxform = str
+        parser.read(config)
+        parser["run"].update(T_max="5", replicates="1")
+        parser[section][key] = token
+        path = tmp_path / f"{i}.ini"
+        with open(path, "w") as fh:
+            parser.write(fh)
+        try:
+            cfg = load_config(path)
+        except ValueError:
+            continue
+        except Exception as exc:
+            failures.append(f"{config.name} [{section}] {key} = {token!r} at load: {exc!r}")
+            continue
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # diverging steps warn
+                run_experiment(cfg, out_dir=tmp_path / str(i))
+        except Exception as exc:
+            failures.append(f"{config.name} [{section}] {key} = {token!r} in the sweep: {exc!r}")
+    assert not failures, "\n".join(failures)
+
+
+def test_truncated_golden_csvs_fail_or_summarise_alike(tmp_path):
+    # a results CSV cut at any byte, inside a line or after one, is rejected
+    # with ValueError, or summarises exactly as the whole file does
+    rng = random.Random(7)
+    failures = []
+    for golden in sorted((DEMOS / "output").glob("*.csv")):
+        data = golden.read_bytes()
+        if not data.startswith(b"# schema_version"):
+            continue  # not a results CSV
+        whole = summarize([golden])
+        cut = tmp_path / golden.name
+        line_ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        sizes = {0, len(data) - 1, *rng.sample(range(len(data)), 40)}
+        sizes.update(rng.sample(line_ends, min(40, len(line_ends))))
+        for size in sorted(sizes):
+            cut.write_bytes(data[:size])
+            try:
+                if summarize([cut]) != whole:
+                    failures.append(f"{golden.name} cut at byte {size}: another summary")
+            except ValueError:
+                pass
+            except Exception as exc:
+                failures.append(f"{golden.name} cut at byte {size}: {exc!r}")
+    assert not failures, "\n".join(failures)

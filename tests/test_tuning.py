@@ -1,11 +1,20 @@
-"""Stopping rules, mixing cutoffs, rate terms and the speed-up model."""
+"""Stopping rules, mixing cutoffs, rate terms, the speed-up model and non-finite inputs."""
 
 import math
 
 import numpy as np
 import pytest
 
-from gossipgd import RuntimeModel, mixing_cutoff, rate_terms, speedup, tune_plan
+from gossipgd import (
+    RuntimeModel,
+    effective_dimension,
+    fit_loglog_slope,
+    make_problem,
+    mixing_cutoff,
+    rate_terms,
+    speedup,
+    tune_plan,
+)
 
 CYCLE16_SIGMA2 = 0.9619397662556434  # (1 + cos(pi/8)) / 2
 
@@ -272,3 +281,25 @@ def test_runtime_model():
     assert slow.iteration_time(100) == pytest.approx(216.0, abs=1e-15)
     with pytest.raises(ValueError):
         RuntimeModel(tau_delay=-1.0, deg=0)
+
+
+# ------------------------------------------------------ non-finite inputs
+
+RATE_ARGS = dict(n=8, m=100, r=1.0, gamma=0.5, eta=0.05, t=400, sigma2=0.6)
+
+NON_FINITE_CALLS = {
+    "rate_terms-eta": lambda v: rate_terms(**dict(RATE_ARGS, eta=v)),
+    "RuntimeModel-tau_delay": lambda v: RuntimeModel(tau_delay=v, deg=2),
+    "RuntimeModel-grad_cost": lambda v: RuntimeModel(tau_delay=1.0, deg=2, grad_cost=v),
+    "speedup-tau_delay": lambda v: speedup(50, 60, 8, 100, v, 2),
+    "effective_dimension-lam": lambda v: effective_dimension(make_problem(16, 1.0, 0.5), v),
+    "fit_loglog_slope-xs": lambda v: fit_loglog_slope([1.0, 2.0, v], [1.0, 2.0, 3.0]),
+    "fit_loglog_slope-ys": lambda v: fit_loglog_slope([1.0, 2.0, 3.0], [1.0, v, 3.0]),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("call", NON_FINITE_CALLS)
+def test_public_functions_reject_a_non_finite_argument(call, value):
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_CALLS[call](value)
