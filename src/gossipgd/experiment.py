@@ -22,17 +22,9 @@ import numpy as np
 
 from . import diagnostics, engine
 from .diagnostics import fit_loglog_slope
-from .problem import SAMPLERS, make_problem, sample_agent_data
-from .topology import (
-    TOPOLOGY_KINDS,
-    WEIGHT_SCHEMES,
-    Topology,
-    build_gossip_matrix,
-    build_topology,
-    chebyshev_accelerate,
-    check_weight_scheme,
-)
-from .tuning import check_theta, tune_plan
+from .problem import make_problem, sample_agent_data
+from .topology import Topology, build_gossip_matrix, build_topology, chebyshev_accelerate
+from .tuning import tune_plan
 
 SCHEMA_VERSION = 1
 
@@ -84,34 +76,29 @@ def _parse_edges(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("must be a finite number")
-    return value
-
-
 def _parse_eta(text: str) -> str | float:
-    return ETA_AUTO if text == ETA_AUTO else _finite(text)
+    return ETA_AUTO if text == ETA_AUTO else float(text)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A sweep config; each field declares its INI key, default and check.
+    """A sweep config; each field declares its INI key, parser and default.
 
-    The field order is the order of the CSV's config echo.
+    A key that the problem, a gossip matrix or the step schedule takes is
+    checked by building that object at load; any other key declares its own
+    check.  The field order is the order of the CSV's config echo.
     """
 
-    # problem
-    d: int = _key("problem", int, check=_at_least(1))
-    gamma: float = _key("problem", _finite, check=_rule(lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
-    r: float = _key("problem", _finite, check=_at_least(0.5))
-    R: float = _key("problem", _finite, 1.0, _rule(lambda v: v > 0.0, "positive"))
-    noise_sigma: float = _key("problem", _finite, 0.0, _at_least(0.0))
-    sampler: str = _key("problem", str, "coordinate", _one_of(SAMPLERS))
-    # topology: rows/cols, degree/seed and edges are checked by building every sweep n's graph
-    kind: str = _key("topology", str, check=_one_of(TOPOLOGY_KINDS))
-    weight_scheme: str = _key("topology", str, "metropolis_lazy", _one_of(WEIGHT_SCHEMES))
+    # problem: checked by make_problem
+    d: int = _key("problem", int)
+    gamma: float = _key("problem", float)
+    r: float = _key("problem", float)
+    R: float = _key("problem", float, 1.0)
+    noise_sigma: float = _key("problem", float, 0.0)
+    sampler: str = _key("problem", str, "coordinate")
+    # topology: checked by building every sweep n's gossip matrix
+    kind: str = _key("topology", str)
+    weight_scheme: str = _key("topology", str, "metropolis_lazy")
     rows: int | None = _key("topology", int, None)
     cols: int | None = _key("topology", int, None)
     degree: int | None = _key("topology", int, None)
@@ -123,11 +110,10 @@ class ExperimentConfig:
     sweep_m: tuple[int, ...] = _key(
         "sweep", _int_list, check=_rule(lambda ms: min(ms) >= 1, "all >= 1"), key="m"
     )
-    # schedule: eta is either the token "auto" (tuned per sweep point) or a number
-    theta: float = _key("schedule", _finite, 0.0, check_theta)
-    eta: str | float = _key(
-        "schedule", _parse_eta, check=_rule(lambda v: v == ETA_AUTO or v > 0.0, "positive or auto")
-    )
+    # schedule: eta is either the token "auto" (tuned per sweep point) or a
+    # number; a number and theta are checked by building the step schedule
+    theta: float = _key("schedule", float, 0.0)
+    eta: str | float = _key("schedule", _parse_eta)
     # run
     t_max: int = _key("run", int, check=_at_least(1), key="T_max")
     stride: int = _key("run", int, 0, _at_least(0))  # 0 means the default max(1, updates // 200)
@@ -163,9 +149,11 @@ def derive_seed(master_seed: int, sweep_index: int, replicate: int) -> int:
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment config file.
 
-    Every key is parsed and checked as its field declares; then the checks
-    that span keys run, including building the problem and the graph of
-    every sweep n, so a config that loads cannot fail on either mid-sweep.
+    Every key is parsed, and checked where its field declares a check; then
+    load builds what the sweep builds: the problem, the gossip matrix of
+    every sweep n and, unless eta is auto, the step schedule.  So a config
+    that loads cannot fail on any of them mid-sweep, and each error names
+    its section.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str  # keys like T_max and R are case sensitive
@@ -211,9 +199,14 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"[problem] {exc}") from None
     for n in cfg.sweep_n:
         try:
-            check_weight_scheme(_build_graph(cfg, n), cfg.weight_scheme)
+            _build_gossip(cfg, n)
         except ValueError as exc:
             raise ValueError(f"[topology] kind = {cfg.kind} at sweep n = {n}: {exc}") from None
+    if cfg.eta != ETA_AUTO:
+        try:
+            engine.StepSchedule(cfg.eta, cfg.theta)
+        except ValueError as exc:
+            raise ValueError(f"[schedule] {exc}") from None
     return cfg
 
 
@@ -226,7 +219,7 @@ def _config_echo(cfg: ExperimentConfig) -> list[str]:
     return lines
 
 
-def _build_graph(cfg: ExperimentConfig, n: int):
+def _build_gossip(cfg: ExperimentConfig, n: int):
     top = Topology(
         kind=cfg.kind,
         n=n,
@@ -236,11 +229,7 @@ def _build_graph(cfg: ExperimentConfig, n: int):
         edges=cfg.edges,
         seed=cfg.topology_seed,
     )
-    return build_topology(top)
-
-
-def _build_gossip(cfg: ExperimentConfig, n: int):
-    P = build_gossip_matrix(_build_graph(cfg, n), cfg.weight_scheme)
+    P = build_gossip_matrix(build_topology(top), cfg.weight_scheme)
     if cfg.chebyshev_k >= 2:
         P = chebyshev_accelerate(P, cfg.chebyshev_k)
     return P

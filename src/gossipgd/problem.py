@@ -99,19 +99,20 @@ def make_problem(
     small probability; such problems carry no moment certificate.
     """
     if d < 1:
-        raise ValueError("d must be >= 1")
-    if not all(map(math.isfinite, (gamma, r, R, noise_sigma))):
-        raise ValueError("gamma, r, R and noise_sigma must be finite")
+        raise ValueError(f"d must be >= 1, got {d}")
+    for name, value in (("gamma", gamma), ("r", r), ("R", R), ("noise_sigma", noise_sigma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     if r < 0.5:
         raise ValueError(f"smoothness exponent r must be >= 1/2, got {r}")
     if R <= 0.0:
-        raise ValueError("smoothness radius R must be positive")
+        raise ValueError(f"smoothness radius R must be positive, got {R}")
     if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be nonnegative")
+        raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
     if sampler not in SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}")
+        raise ValueError(f"unknown sampler {sampler!r}, not one of {SAMPLERS}")
 
     idx = np.arange(1, d + 1, dtype=float)
     tau = idx ** (-1.0 / gamma)

@@ -91,7 +91,7 @@ def _finish_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
 def build_topology(top: Topology) -> Graph:
     """Materialize a :class:`Topology` into a concrete graph."""
     if top.kind not in TOPOLOGY_KINDS:
-        raise ValueError(f"unknown topology kind {top.kind!r}")
+        raise ValueError(f"unknown topology kind {top.kind!r}, not one of {TOPOLOGY_KINDS}")
     n = top.n
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -237,14 +237,6 @@ def _gossip_matrix(
     )
 
 
-def check_weight_scheme(graph: Graph, weight_scheme: str) -> None:
-    """Raise ValueError unless ``weight_scheme`` can weight ``graph``."""
-    if weight_scheme not in WEIGHT_SCHEMES:
-        raise ValueError(f"unknown weight scheme {weight_scheme!r}")
-    if weight_scheme == "uniform_complete" and len(graph.edges) != graph.n * (graph.n - 1) // 2:
-        raise ValueError("uniform_complete weights need the complete graph")
-
-
 def build_gossip_matrix(graph: Graph, weight_scheme: str = "metropolis_lazy") -> GossipMatrix:
     """Assign edge weights on ``graph`` and compute the spectrum.
 
@@ -254,8 +246,11 @@ def build_gossip_matrix(graph: Graph, weight_scheme: str = "metropolis_lazy") ->
     ``uniform_complete`` requires the complete graph and averages exactly;
     its spectrum {1, 0, ..., 0} is set analytically so sigma2 is 0.0 exact.
     """
-    check_weight_scheme(graph, weight_scheme)
+    if weight_scheme not in WEIGHT_SCHEMES:
+        raise ValueError(f"unknown weight scheme {weight_scheme!r}, not one of {WEIGHT_SCHEMES}")
     n = graph.n
+    if weight_scheme == "uniform_complete" and len(graph.edges) != n * (n - 1) // 2:
+        raise ValueError("uniform_complete weights need the complete graph")
     P = np.zeros((n, n))
 
     if weight_scheme == "uniform_complete":

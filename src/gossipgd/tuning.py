@@ -97,8 +97,8 @@ def mixing_cutoff(r: float, t: int, sigma2: float) -> int:
     """Iterations after which gossip noise is mixed: ceil((r+1) ln(t) / gap)."""
     if t < 2:
         raise ValueError("mixing cutoff needs t >= 2")
-    if r < 0.5:
-        raise ValueError(f"smoothness exponent r must be >= 1/2, got {r}")
+    if not 0.5 <= r < math.inf:  # also false for nan
+        raise ValueError(f"smoothness exponent r must be finite and >= 1/2, got {r}")
     if not 0.0 <= sigma2 < 1.0:
         raise ValueError(f"sigma2 must be in [0, 1), got {sigma2}")
     return int(math.ceil(_snap((r + 1.0) * math.log(t) / (1.0 - sigma2))))

@@ -732,7 +732,7 @@ BLOCK_CASES = [
 
 
 @pytest.mark.parametrize("d,n,T,mode,variant,theta", BLOCK_CASES)
-def test_population_blocks_keep_the_reference_bits(d, n, T, mode, variant, theta):
+def test_population_blocks_keep_the_reference_bits(monkeypatch, d, n, T, mode, variant, theta):
     # run() computes the half of the step that reads no iterate a block of
     # steps ahead; every state, on both sides of each block boundary, must
     # still be the helpers' step from the state before, bit for bit
@@ -742,6 +742,12 @@ def test_population_blocks_keep_the_reference_bits(d, n, T, mode, variant, theta
     datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(n)]
     stats = AgentStats.from_data(datasets)
     assert stats.mode == mode
+    if d == 512:
+        # the d = 512 statistics and pooled machine take a second to build:
+        # run() and the helpers share these (the fused-step test builds anew)
+        machine = stats._single_machine()
+        monkeypatch.setattr(AgentStats, "from_data", staticmethod(lambda agents: stats))
+        monkeypatch.setattr(AgentStats, "_single_machine", lambda self: machine)
     block = max(1, engine._BLOCK_BYTES // (n * d * 8))
     assert block == 1 if d == 512 else (T - 1 > block and (T - 1) % block != 0)
     P = matrix("cycle", n)

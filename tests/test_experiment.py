@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -184,6 +185,15 @@ COMPLETE = "kind = complete\nweight_scheme = uniform_complete"
         lambda t: t.replace("r = 1.0", "r = inf"),
         lambda t: t.replace("eta = 0.05", "eta = inf"),
         lambda t: t.replace("noise_sigma = 0.2", "noise_sigma = inf"),
+        # the ranges of the keys that the problem and the step schedule check
+        lambda t: t.replace("gamma = 0.5", "gamma = 0"),
+        lambda t: t.replace("gamma = 0.5", "gamma = 1.5"),
+        lambda t: t.replace("d = 4", "d = 0"),
+        lambda t: t.replace("r = 1.0", "r = 1.0\nR = 0"),
+        lambda t: t.replace("noise_sigma = 0.2", "noise_sigma = -1"),
+        lambda t: t.replace("noise_sigma = 0.2", "noise_sigma = 0.2\nsampler = x"),
+        lambda t: t.replace("eta = 0.05", "eta = 0.05\ntheta = -0.1"),
+        lambda t: t.replace("eta = 0.05", "eta = nan"),
         # the output must name a file, not a directory
         pytest.param(lambda t: t.replace("output = results.csv", "output ="), id="empty"),
         pytest.param(lambda t: t.replace("output = results.csv", "output = ."), id="dot"),
@@ -780,7 +790,8 @@ def fuzz_cases(count, seed):
 
 def test_fuzzed_configs_fail_at_load_or_run(tmp_path):
     # each committed config at T_max = 5 and one replicate, with one key set
-    # to one token: it is rejected at load with ValueError, or its sweep runs
+    # to one token: it is rejected at load with a ValueError that names its
+    # section, or its sweep runs
     failures = []
     for i, (config, section, key, token) in enumerate(fuzz_cases(800, seed=31)):
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -793,7 +804,9 @@ def test_fuzzed_configs_fail_at_load_or_run(tmp_path):
             parser.write(fh)
         try:
             cfg = load_config(path)
-        except ValueError:
+        except ValueError as exc:
+            if not re.match(r"\[(problem|topology|sweep|schedule|run)\] ", str(exc)):
+                failures.append(f"{config.name} [{section}] {key} = {token!r}: {exc}")
             continue
         except Exception as exc:
             failures.append(f"{config.name} [{section}] {key} = {token!r} at load: {exc!r}")

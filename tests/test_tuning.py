@@ -288,6 +288,7 @@ def test_runtime_model():
 RATE_ARGS = dict(n=8, m=100, r=1.0, gamma=0.5, eta=0.05, t=400, sigma2=0.6)
 
 NON_FINITE_CALLS = {
+    "mixing_cutoff-r": lambda v: mixing_cutoff(v, 10, 0.5),
     "rate_terms-eta": lambda v: rate_terms(**dict(RATE_ARGS, eta=v)),
     "RuntimeModel-tau_delay": lambda v: RuntimeModel(tau_delay=v, deg=2),
     "RuntimeModel-grad_cost": lambda v: RuntimeModel(tau_delay=1.0, deg=2, grad_cost=v),
