@@ -30,7 +30,6 @@ record columns, and in a sweep job a summary that keeps only the CSV cells.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from collections.abc import Iterable
 from contextlib import nullcontext
@@ -110,23 +109,28 @@ class AgentStats:
     x: np.ndarray | None = field(default=None, repr=False)  # (n, m, d)
 
     @classmethod
-    def from_data(cls, datasets: Iterable[AgentData | CoordinateData]) -> "AgentStats":
-        """Reduce any iterable of agents in one pass, each agent as it arrives.
+    def from_data(cls, datasets: Iterable[AgentData | CoordinateData], n: int) -> "AgentStats":
+        """Reduce an iterable of exactly n >= 1 agents in one pass, each as it arrives.
 
         The type of the agents picks the mode: ``CoordinateData`` gives
         ``diag``, ``AgentData`` gives ``dense`` when m >= d and ``stream``
-        otherwise.  Mixing the two types is an error.  Every agent is checked
-        and reduced when it arrives, written into the stacks and dropped;
-        only the stream mode keeps its ``x``.  Every statistic is float64,
-        whatever the agents' dtype.  Each stack is allocated for the
-        iterable's ``operator.length_hint`` on a 64-byte boundary and divided
-        by m in place at the end: the bits of
-        ``np.stack(..., dtype=np.float64) / m`` at a peak of one stack and
-        one agent, not two stacks.
+        otherwise.  Mixing the two types is an error, and so is an iterable
+        that does not hold n agents.  Every agent is checked and reduced when
+        it arrives, written into its row of each statistic and dropped; only
+        the stream mode keeps its ``x``.  Every statistic is float64, whatever
+        the agents' dtype.  Each is allocated as one ``(n, ...)`` array on a
+        64-byte boundary at the first agent and divided by m in place at the
+        end: the bits of ``np.stack(..., dtype=np.float64) / m`` at a peak of
+        one set of statistics and one agent, not two.
         """
-        shape = coordinate = stacks = None
-        capacity = operator.length_hint(datasets)
-        for data in datasets:
+        if n < 1:
+            raise ValueError(f"need n >= 1 agents, got n = {n}")
+        shape = coordinate = stats = None
+        count = 0
+        for data in datasets:  # not enumerate: its reused tuple holds an agent past its turn
+            count += 1
+            if count > n:
+                raise ValueError(f"expected {n} agents, got at least {count}")
             agent_shape = _sample_shape(data)
             if shape is None:
                 shape, coordinate = agent_shape, isinstance(data, CoordinateData)
@@ -148,21 +152,22 @@ class AgentStats:
                 )
             # x^T y, and diag(x^T x), x^T x or x by mode; only x is not divided by m
             moments = _diag_moments(data) if coordinate else _moments(data, m >= d)
-            if stacks is None:
-                divisors = (m, m if coordinate or m >= d else None)
-                stacks = [_Stack(row, capacity, q) for row, q in zip(moments, divisors)]
-            for stack, row in zip(stacks, moments):
-                stack.append(row)
+            if stats is None:
+                stats = [_aligned((n, *row.shape)) for row in moments]
+            for stat, row in zip(stats, moments):
+                stat[count - 1] = row
             del data, moments, row  # the next agent is drawn without this one alive
-        if shape is None:
-            raise ValueError("need at least one agent")
+        if count < n:
+            raise ValueError(f"expected {n} agents, got {count}")
         m, d = shape
-        xy, second = (stack.done() for stack in stacks)
+        xy, second = stats
+        xy /= m
+        if not coordinate and m < d:
+            return cls(xy=xy, mode="stream", x=second)
+        second /= m
         if coordinate:
             return cls(xy=xy, mode="diag", cov_diag=second)
-        if m >= d:
-            return cls(xy=xy, mode="dense", cov=second)
-        return cls(xy=xy, mode="stream", x=second)
+        return cls(xy=xy, mode="dense", cov=second)
 
     @property
     def n(self) -> int:
@@ -204,46 +209,12 @@ class AgentStats:
 _CACHE_LINE = 64
 
 
-class _Stack:
-    """One float64 statistic, stacked a row at a time on a cache line.
-
-    A full buffer grows by half its rows, rounded up, by reallocation
-    (``ndarray.resize``), so old and new are never both held; :meth:`done`
-    cuts it to its rows and moves them back onto the boundary if a
-    reallocation moved the buffer.  Each row is cast to float64 as it is
-    written.
-    """
-
-    def __init__(self, row, capacity, divisor=None):
-        self.shape, self.rows, self.capacity, self.divisor = row.shape, 0, max(capacity, 1), divisor
-        self.raw = np.empty(self._nbytes(self.capacity) + _CACHE_LINE, np.uint8)
-        self.start = -self.raw.ctypes.data % _CACHE_LINE
-
-    def _nbytes(self, rows):
-        return rows * math.prod(self.shape) * 8
-
-    def _view(self, rows):
-        raw = self.raw[self.start : self.start + self._nbytes(rows)]
-        return raw.view(np.float64).reshape(rows, *self.shape)
-
-    def append(self, row):
-        if self.rows == self.capacity:
-            self.capacity += (self.capacity + 1) // 2
-            self.raw.resize(self._nbytes(self.capacity) + _CACHE_LINE)
-        self._view(self.rows + 1)[-1] = row
-        self.rows += 1
-
-    def done(self):
-        nbytes = self._nbytes(self.rows)
-        self.raw.resize(nbytes + _CACHE_LINE)
-        start = -self.raw.ctypes.data % _CACHE_LINE
-        if start != self.start:  # an overlapping one-dimensional copy moves the bytes in place
-            self.raw[start : start + nbytes] = self.raw[self.start : self.start + nbytes]
-            self.start = start
-        out = self._view(self.rows)
-        if self.divisor is not None:
-            out /= self.divisor
-        return out
+def _aligned(shape):
+    """An uninitialised float64 array of ``shape`` that starts on a cache line."""
+    nbytes = math.prod(shape) * 8
+    raw = np.empty(nbytes + _CACHE_LINE, np.uint8)
+    start = -raw.ctypes.data % _CACHE_LINE
+    return raw[start : start + nbytes].view(np.float64).reshape(shape)
 
 
 def _sample_shape(data: AgentData | CoordinateData) -> tuple[int, int]:
@@ -337,19 +308,6 @@ def noise_terms(population: np.ndarray, stats: AgentStats, problem: SpectralProb
     return pop_grad[None, :] - stats.gradients(population)
 
 
-class _Counted:
-    """Agents whose count is known before they are drawn (``operator.length_hint``)."""
-
-    def __init__(self, agents, count):
-        self.agents, self.count = agents, count
-
-    def __iter__(self):
-        return iter(self.agents)
-
-    def __length_hint__(self):
-        return self.count
-
-
 def _population_block(stats, tau, rows, steps, recursion, F):
     """The half of K = ``len(steps)`` fused steps that reads no local iterate.
 
@@ -413,8 +371,8 @@ def run(
 ) -> RunResult:
     """Advance all processes in lockstep for T iterations.
 
-    ``datasets`` is any iterable of agents, consumed once by
-    :meth:`AgentStats.from_data`.  Iteration t is recorded whenever
+    ``datasets`` is any iterable of ``P.n`` agents, consumed once, one agent
+    at a time, by :meth:`AgentStats.from_data`.  Iteration t is recorded whenever
     ``t % stride == 0``, plus always the last state reached: the records end
     at ``t = T``, or, if the update to ``t + 1`` sends the local iterates
     past ``DIVERGENCE_NORM`` (or to nan), at ``t``, and
@@ -445,10 +403,8 @@ def run(
     if variant not in PROTOCOL_VARIANTS:
         raise ValueError(f"unknown protocol variant {variant!r}")
 
-    stats = AgentStats.from_data(_Counted(datasets, P.n))
+    stats = AgentStats.from_data(datasets, P.n)
     n, d = stats.n, problem.d
-    if P.n != n:
-        raise ValueError(f"gossip matrix is {P.n}x{P.n} but there are {n} agents")
     if stats.xy.shape[1] != d:
         raise ValueError("agent data dimension does not match the problem")
     if sched.at(1) * problem.kappa_sq > 1.0 + 1e-12:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, engine
+from . import diagnostics, engine, topology
 from .diagnostics import fit_loglog_slope
 from .problem import make_problem, sample_agent_data
 from .topology import Topology, build_gossip_matrix, build_topology, chebyshev_accelerate
@@ -96,9 +96,10 @@ class ExperimentConfig:
     R: float = _key("problem", float, 1.0)
     noise_sigma: float = _key("problem", float, 0.0)
     sampler: str = _key("problem", str, "coordinate")
-    # topology: checked by building every sweep n's gossip matrix
-    kind: str = _key("topology", str)
-    weight_scheme: str = _key("topology", str, "metropolis_lazy")
+    # topology: a name is checked on its own, the rest by building every
+    # sweep n's gossip matrix, whose errors name the n
+    kind: str = _key("topology", str, check=_one_of(topology.TOPOLOGY_KINDS))
+    weight_scheme: str = _key("topology", str, "metropolis_lazy", _one_of(topology.WEIGHT_SCHEMES))
     rows: int | None = _key("topology", int, None)
     cols: int | None = _key("topology", int, None)
     degree: int | None = _key("topology", int, None)
@@ -235,17 +236,16 @@ def _build_gossip(cfg: ExperimentConfig, n: int):
     return P
 
 
-def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate: int):
-    """Execute one replicate; return an iterator over its records' CSV lines.
+def _run_one(cfg: ExperimentConfig, problem, sweep_index: int, P, m: int, replicate: int):
+    """Execute one replicate on the sweep's ``problem`` and its n's gossip matrix ``P``.
 
-    Each scored block of records is reduced over agents as it arrives, so no
-    per-agent record column is held, and the lines are formatted a chunk of
-    rows at a time.  A diverged run keeps its partial records, which end at
-    the last finite state.
+    Returns an iterator over its records' CSV lines.  Each scored block of
+    records is reduced over agents as it arrives, so no per-agent record
+    column is held, and the lines are formatted a chunk of rows at a time.
+    A diverged run keeps its partial records, which end at the last finite
+    state.
     """
-    seed = derive_seed(cfg.master_seed, sweep_index, replicate)
-    P = _build_gossip(cfg, n)
-    problem = make_problem(cfg.d, cfg.gamma, cfg.r, cfg.R, cfg.noise_sigma, cfg.sampler)
+    seed, n = derive_seed(cfg.master_seed, sweep_index, replicate), P.n
     plan = tune_plan(n, m, cfg.r, cfg.gamma, P.sigma2, problem.kappa_sq)
     if cfg.eta == ETA_AUTO:
         eta, updates = plan.eta, min(cfg.t_max, plan.t_stop)
@@ -303,14 +303,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", threads: int = 1) -> Path
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    # the problem and each n's gossip matrix are built once; both are frozen,
+    # with read-only arrays, so the jobs share them on any thread
+    problem = make_problem(cfg.d, cfg.gamma, cfg.r, cfg.R, cfg.noise_sigma, cfg.sampler)
+    gossip = {n: _build_gossip(cfg, n) for n in cfg.sweep_n}
     jobs = []
     for sweep_index, (n, m) in enumerate(product(cfg.sweep_n, cfg.sweep_m)):
         for replicate in range(cfg.replicates):
-            jobs.append((sweep_index, n, m, replicate))
+            jobs.append((sweep_index, gossip[n], m, replicate))
 
     def work(job):
-        sweep_index, n, m, replicate = job
-        return _run_one(cfg, sweep_index, n, m, replicate)
+        return _run_one(cfg, problem, *job)
 
     out_path = Path(out_dir) / cfg.output
     out_path.parent.mkdir(parents=True, exist_ok=True)

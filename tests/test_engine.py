@@ -48,9 +48,9 @@ def test_agent_stats_match_direct_computation(sampler, m):
     n, d = 3, 5
     prob = make_problem(d, 0.5, 1.0, noise_sigma=0.4, sampler=sampler)
     datasets = [sample_agent_data(prob, m, v, seed=31) for v in range(n)]
-    stats = AgentStats.from_data(datasets)
+    stats = AgentStats.from_data(datasets, n)
     # an iterator of the same agents, consumed once, gives the same bits
-    streamed = AgentStats.from_data(iter(datasets))
+    streamed = AgentStats.from_data(iter(datasets), n)
     for f in dataclasses.fields(AgentStats):
         got, want = getattr(streamed, f.name), getattr(stats, f.name)
         assert (got is None) == (want is None), f.name
@@ -75,9 +75,9 @@ def test_agent_stats_match_direct_computation(sampler, m):
 def test_agent_stats_mode_selection():
     coord = make_problem(4, 0.5, 1.0)
     gauss = make_problem(4, 0.5, 1.0, sampler="gaussian")
-    assert AgentStats.from_data([sample_agent_data(coord, 6, 0, 1)]).mode == "diag"
-    assert AgentStats.from_data([sample_agent_data(gauss, 6, 0, 1)]).mode == "dense"
-    assert AgentStats.from_data([sample_agent_data(gauss, 2, 0, 1)]).mode == "stream"
+    assert AgentStats.from_data([sample_agent_data(coord, 6, 0, 1)], 1).mode == "diag"
+    assert AgentStats.from_data([sample_agent_data(gauss, 6, 0, 1)], 1).mode == "dense"
+    assert AgentStats.from_data([sample_agent_data(gauss, 2, 0, 1)], 1).mode == "stream"
 
 
 def stacked_moments(datasets):
@@ -95,8 +95,9 @@ def bits(a):
 
 def assert_dense_carries_diag_bits(coords):
     """The dense statistics of the same rows as AgentData carry the diag bits."""
-    diag = AgentStats.from_data(coords)
-    dense = AgentStats.from_data([AgentData(x=a.x, y=a.y, agent_id=a.agent_id) for a in coords])
+    diag = AgentStats.from_data(coords, len(coords))
+    dense = [AgentData(x=a.x, y=a.y, agent_id=a.agent_id) for a in coords]
+    dense = AgentStats.from_data(dense, len(dense))
     assert diag.mode == "diag" and dense.mode == "dense"
     assert np.array_equal(bits(dense.xy), bits(diag.xy))
     assert np.array_equal(bits(np.diagonal(dense.cov, axis1=1, axis2=2)), bits(diag.cov_diag))
@@ -107,7 +108,7 @@ def assert_dense_carries_diag_bits(coords):
 def test_diag_stats_equal_stacked_reductions(d, noise_sigma):
     prob = make_problem(d, 0.5, 1.0, noise_sigma=noise_sigma)
     datasets = [sample_agent_data(prob, 1000, v, seed=7) for v in range(3)]
-    stats = AgentStats.from_data(datasets)
+    stats = AgentStats.from_data(datasets, 3)
     if d > 1:
         xy, cov_diag = stacked_moments(datasets)
     else:  # one column per agent, each summed in row order
@@ -123,7 +124,7 @@ def test_diag_stats_equal_stacked_reductions(d, noise_sigma):
         assert_dense_carries_diag_bits(datasets)
     else:  # one contiguous column: the dense sums add in another order
         dense = [AgentData(x=a.x, y=a.y, agent_id=a.agent_id) for a in datasets]
-        assert AgentStats.from_data(dense).mode == "dense"
+        assert AgentStats.from_data(dense, 3).mode == "dense"
 
 
 def test_diag_stats_on_negative_entries_and_zero_rows():
@@ -136,7 +137,7 @@ def test_diag_stats_on_negative_entries_and_zero_rows():
         picks = rng.integers(0, d, m)
         y = rng.standard_normal(m)
         datasets.append(CoordinateData(picks=picks, vals=vals, y=y, d=d, agent_id=v))
-    stats = AgentStats.from_data(datasets)
+    stats = AgentStats.from_data(datasets, 3)
     xy, cov_diag = stacked_moments(datasets)
     assert stats.mode == "diag"
     assert np.array_equal(stats.xy, xy)
@@ -158,7 +159,7 @@ def test_mixed_sample_types_are_rejected(coordinate_first, feed):
     agents = first[:2] + other[2:]
     odd = type(agents[2]).__name__
     with pytest.raises(ValueError, match=f"{odd} for agent 2"):
-        AgentStats.from_data(feed(agents))
+        AgentStats.from_data(feed(agents), 3)
 
 
 # the (d, m) grid: m at, just above and twice d, and at least 1024
@@ -191,7 +192,7 @@ def test_one_hot_agent_data_reduces_densely_bit_for_bit(d, m):
     agents[-1].x[-1, :2] = [1.0, -2.0]
     xy = np.stack([np.einsum("md,m->d", a.x, a.y) for a in agents]) / m
     cov = np.stack([np.einsum("md,me->de", a.x, a.x) for a in agents]) / m
-    for stats in (AgentStats.from_data(agents), AgentStats.from_data(a for a in agents)):
+    for stats in (AgentStats.from_data(agents, 3), AgentStats.from_data((a for a in agents), 3)):
         assert stats.mode == "dense"
         assert np.array_equal(bits(stats.xy), bits(xy))
         assert np.array_equal(bits(stats.cov), bits(cov))
@@ -203,7 +204,7 @@ def test_coordinate_sampling_never_builds_the_samples():
     tracemalloc.start()
     try:
         datasets = [sample_agent_data(prob, m, v, seed=9) for v in range(4)]
-        stats = AgentStats.from_data(datasets)
+        stats = AgentStats.from_data(datasets, 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -218,15 +219,17 @@ def test_coordinate_sampling_never_builds_the_samples():
         pytest.param("gaussian", "dense", 8, 4096, 64, 1, id="gaussian-dense"),
         pytest.param("coordinate", "diag", 8, 4096, 64, 1, id="coordinate-diag"),
         # with d > m the statistics outweigh the samples; each agent's moments
-        # go into the stacks as it arrives, so past the drawing of one agent
-        # the peak is one stack and one agent's moments, 1.1x the statistics
+        # go into the statistics as it arrives, so past the drawing of one
+        # agent the peak is the statistics and one agent's moments, 1.1x them
         # (1.8x when every agent's moments were held until they were stacked)
         pytest.param("coordinate", "diag", 8, 2048, 4096, 1.2, id="coordinate-diag-d-above-m"),
         # 130 KiB of statistics, below the 256 KiB from which NumPy elides a
-        # division's temporary: a stack divided in place is 1.0x the
-        # statistics, one divided out of place 2.0x, and the drawing of the
-        # last agent, 2 * samples, is 1.0x
+        # division's temporary: statistics divided in place are 1.0x
+        # themselves, divided out of place 2.0x, and the drawing of the last
+        # agent, 2 * samples, is 1.0x; the same at n = 3 and 5
         pytest.param("gaussian", "dense", 4, 128, 64, 1.2, id="gaussian-dense-in-place"),
+        pytest.param("gaussian", "dense", 3, 128, 64, 1.2, id="gaussian-dense-in-place-n3"),
+        pytest.param("gaussian", "dense", 5, 128, 64, 1.2, id="gaussian-dense-in-place-n5"),
     ],
 )
 def test_stats_hold_one_agent_at_a_time(sampler, mode, n, m, d, copies):
@@ -238,7 +241,7 @@ def test_stats_hold_one_agent_at_a_time(sampler, mode, n, m, d, copies):
     del first
     tracemalloc.start()
     try:
-        stats = AgentStats.from_data(sample_agent_data(prob, m, v, seed=9) for v in range(n))
+        stats = AgentStats.from_data((sample_agent_data(prob, m, v, seed=9) for v in range(n)), n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -246,25 +249,6 @@ def test_stats_hold_one_agent_at_a_time(sampler, mode, n, m, d, copies):
     # the held samples alone would take n * samples
     statistics = sum(a.nbytes for a in vars(stats).values() if isinstance(a, np.ndarray))
     assert peak < 2 * samples + copies * statistics
-
-
-@pytest.mark.parametrize("n", [3, 5])
-def test_stats_grown_by_half_peak_near_the_statistics(n):
-    # an iterable of unknown length grows its stacks by half their rows
-    # (rounded up), so at n = 3 and 5 the last stack is full and holds no
-    # spare rows while the last agent is drawn: 2.03x and 1.82x the
-    # statistics, against 2.37x and 2.22x when a stack doubled
-    prob = make_problem(64, 0.5, 1.0, noise_sigma=0.5, sampler="gaussian")
-    sample_agent_data(prob, 128, 0, seed=9)
-    tracemalloc.start()
-    try:
-        stats = AgentStats.from_data(sample_agent_data(prob, 128, v, seed=9) for v in range(n))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert stats.mode == "dense" and stats.n == n
-    statistics = sum(a.nbytes for a in vars(stats).values() if isinstance(a, np.ndarray))
-    assert peak < 2.1 * statistics
 
 
 @pytest.mark.parametrize(
@@ -281,7 +265,7 @@ def test_stats_start_on_cache_lines(sampler, mode, n, m, d):
     # and is, bit for bit, the per-agent moments stacked and divided by m
     prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
     agents = [sample_agent_data(prob, m, v, seed=4) for v in range(n)]
-    stats = AgentStats.from_data(agents)
+    stats = AgentStats.from_data(agents, n)
     assert stats.mode == mode
     if mode == "diag":
         xy, second = zip(*map(engine._diag_moments, agents))
@@ -305,13 +289,12 @@ def test_stats_start_on_cache_lines(sampler, mode, n, m, d):
                          ("gaussian", "stream", 16, 64)]
 )
 def test_stats_grown_from_a_generator_keep_the_stacked_bits(sampler, mode, m, d, n):
-    # an iterable of unknown length grows the stacks by half and cuts
-    # them to n rows at the end; they still start on a cache line and hold
-    # the per-agent moments stacked and divided by m
+    # a generator of n agents, given n, fills the same n rows as the list:
+    # they start on a cache line and hold the list's bits
     prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
     agents = [sample_agent_data(prob, m, v, seed=4) for v in range(n)]
-    stats = AgentStats.from_data(a for a in agents)
-    want = AgentStats.from_data(agents)
+    stats = AgentStats.from_data((a for a in agents), n)
+    want = AgentStats.from_data(agents, n)
     assert stats.mode == want.mode == mode and stats.n == n
     for name, a in vars(stats).items():
         if isinstance(a, np.ndarray):
@@ -320,12 +303,12 @@ def test_stats_grown_from_a_generator_keep_the_stacked_bits(sampler, mode, m, d,
 
 
 def test_stats_of_mixed_precision_agents_take_the_widest_type():
-    # as np.stack would, a float64 agent after float32 ones recasts the rows so far
+    # every row is written as float64, whichever agents are float32
     prob = make_problem(8, 0.5, 1.0, noise_sigma=0.5, sampler="gaussian")
     agents = [sample_agent_data(prob, 16, v, seed=4) for v in range(3)]
     narrow = [AgentData(x=a.x.astype(np.float32), y=a.y.astype(np.float32), agent_id=a.agent_id)
               for a in agents[:2]]
-    stats = AgentStats.from_data(iter(narrow + agents[2:]))
+    stats = AgentStats.from_data(iter(narrow + agents[2:]), 3)
     moments = [engine._moments(a, True) for a in narrow + agents[2:]]
     for got, want in zip((stats.xy, stats.cov), zip(*moments)):
         assert got.dtype == np.float64 and got.ctypes.data % 64 == 0
@@ -339,7 +322,7 @@ def test_stats_of_float32_agents_are_float64(m, mode):
     agents = [sample_agent_data(prob, m, v, seed=4) for v in range(3)]
     narrow = [AgentData(x=a.x.astype(np.float32), y=a.y.astype(np.float32), agent_id=a.agent_id)
               for a in agents]
-    stats = AgentStats.from_data(iter(narrow))
+    stats = AgentStats.from_data(iter(narrow), 3)
     assert stats.mode == mode
     xy, second = zip(*(engine._moments(a, mode == "dense") for a in narrow))
     want = {"xy": np.stack(xy, dtype=np.float64) / m}
@@ -362,7 +345,7 @@ def test_diag_moments_do_not_copy_the_picks():
     assert not agent.picks.flags.writeable
     tracemalloc.start()
     try:
-        stats = AgentStats.from_data([agent])
+        stats = AgentStats.from_data([agent], 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -374,9 +357,9 @@ def test_agent_stats_rejects_mismatched_shapes():
     a = hand_data([[1.0, 0.0]], [1.0], 0)
     b = hand_data([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0], 1)
     with pytest.raises(ValueError):
-        AgentStats.from_data([a, b])
+        AgentStats.from_data([a, b], 2)
     with pytest.raises(ValueError):
-        AgentStats.from_data([])
+        AgentStats.from_data([], 1)
     # a y that does not hold one response per sample names its agent, on
     # the diag and the dense path alike
     def coordinate(y, agent_id):
@@ -388,9 +371,43 @@ def test_agent_stats_rejects_mismatched_shapes():
     for agent in (coordinate, dense):
         for y in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [[1.0], [2.0]]):
             with pytest.raises(ValueError, match="agent 7"):
-                AgentStats.from_data([agent([1.0, 2.0], 0), agent(y, 7)])
+                AgentStats.from_data([agent([1.0, 2.0], 0), agent(y, 7)], 2)
     with pytest.raises(ValueError, match="agent 3"):
-        AgentStats.from_data([AgentData(x=np.ones(2), y=np.ones(2), agent_id=3)])
+        AgentStats.from_data([AgentData(x=np.ones(2), y=np.ones(2), agent_id=3)], 1)
+
+
+@pytest.mark.parametrize("feed", [list, iter], ids=["list", "generator"])
+def test_agent_stats_need_exactly_n_agents(feed):
+    prob = make_problem(4, 0.5, 1.0, noise_sigma=0.5)
+    agents = [sample_agent_data(prob, 8, v, seed=2) for v in range(3)]
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n >= 1 agents, got n = {n}"):
+            AgentStats.from_data(feed(agents), n)
+    with pytest.raises(ValueError, match="expected 2 agents, got at least 3"):
+        AgentStats.from_data(feed(agents), 2)
+    with pytest.raises(ValueError, match="expected 4 agents, got 3"):
+        AgentStats.from_data(feed(agents), 4)
+    with pytest.raises(ValueError, match="expected 1 agents, got 0"):
+        AgentStats.from_data(feed([]), 1)
+    assert AgentStats.from_data(feed(agents), 3).n == 3
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_run_needs_one_agent_per_gossip_node(count):
+    # a generator of P.n +- 1 agents is rejected; it is drawn no further
+    # than one agent past P.n
+    prob = make_problem(4, 0.5, 1.0, noise_sigma=0.5)
+    drawn = []
+
+    def agents():
+        for v in range(count):
+            drawn.append(v)
+            yield sample_agent_data(prob, 8, v, seed=2)
+
+    want = "got at least 5" if count > 4 else "got 3"
+    with pytest.raises(ValueError, match=f"expected 4 agents, {want}"):
+        run(prob, agents(), matrix("cycle", 4), StepSchedule(0.05), T=3)
+    assert drawn == list(range(count))
 
 
 # ------------------------------------------------------------ single steps
@@ -509,7 +526,7 @@ def test_single_machine_holds_the_concatenated_samples(sampler, n, m, d, mode):
     # agent's samples, up to rounding
     prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
     agents = [sample_agent_data(prob, m, v, seed=5) for v in range(n)]
-    stats = AgentStats.from_data(agents)
+    stats = AgentStats.from_data(agents, n)
     machine = stats._single_machine()
     def stacked(name):
         return np.concatenate([getattr(a, name) for a in agents])
@@ -518,7 +535,7 @@ def test_single_machine_holds_the_concatenated_samples(sampler, n, m, d, mode):
         one = CoordinateData(stacked("picks"), stacked("vals"), stacked("y"), d, agent_id=0)
     else:
         one = AgentData(stacked("x"), stacked("y"), agent_id=0)
-    want = AgentStats.from_data([one])
+    want = AgentStats.from_data([one], 1)
     assert machine.mode == want.mode == mode and machine.n == 1
     for name in ("xy", "cov_diag", "cov", "x"):
         got, ref = getattr(machine, name), getattr(want, name)
@@ -545,7 +562,7 @@ def test_pooled_iterate_stays_with_the_agent_mean_recursion(sampler, n, m, d, mo
     # n gradients, and over 200 steps the two pooled paths stay together
     prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
     agents = [sample_agent_data(prob, m, v, seed=5) for v in range(n)]
-    stats = AgentStats.from_data(agents)
+    stats = AgentStats.from_data(agents, n)
     sched = StepSchedule(min(0.05, 1.0 / prob.kappa_sq))
     states = []
     run(prob, agents, matrix("cycle", n), sched, T=200, observer=states.append)
@@ -559,7 +576,7 @@ def test_one_agent_pooled_iterate_keeps_the_agent_mean_bits(sampler, m):
     # at n = 1 the machine is the agent, and the pooled step keeps its bits
     prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
     agents = [sample_agent_data(prob, m, 0, seed=5)]
-    stats = AgentStats.from_data(agents)
+    stats = AgentStats.from_data(agents, 1)
     sched = StepSchedule(0.05, 0.5)
     states = []
     run(prob, agents, matrix("complete", 1), sched, T=200, observer=states.append)
@@ -681,7 +698,7 @@ def test_fused_step_equals_the_reference_helpers(sampler, m, mode, variant, thet
     # reaches must be the helpers' step from the state before, bit for bit
     prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
     datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(6)]
-    stats = AgentStats.from_data(datasets)
+    stats = AgentStats.from_data(datasets, 6)
     assert stats.mode == mode
     P = matrix("cycle", 6)
     sched = StepSchedule(0.05, theta)
@@ -698,7 +715,7 @@ def test_pooled_machine_takes_a_gradient_per_step_outside_diag_mode(monkeypatch,
     # ahead, without calling gradients; the other modes step it once per update
     prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
     datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(6)]
-    assert AgentStats.from_data(datasets).mode == mode
+    assert AgentStats.from_data(datasets, 6).mode == mode
     gradients, calls = AgentStats.gradients, []
 
     def counted(stats, W):
@@ -740,13 +757,13 @@ def test_population_blocks_keep_the_reference_bits(monkeypatch, d, n, T, mode, v
     sampler = "coordinate" if mode == "diag" else "gaussian"
     prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
     datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(n)]
-    stats = AgentStats.from_data(datasets)
+    stats = AgentStats.from_data(datasets, n)
     assert stats.mode == mode
     if d == 512:
         # the d = 512 statistics and pooled machine take a second to build:
         # run() and the helpers share these (the fused-step test builds anew)
         machine = stats._single_machine()
-        monkeypatch.setattr(AgentStats, "from_data", staticmethod(lambda agents: stats))
+        monkeypatch.setattr(AgentStats, "from_data", staticmethod(lambda agents, n: stats))
         monkeypatch.setattr(AgentStats, "_single_machine", lambda self: machine)
     block = max(1, engine._BLOCK_BYTES // (n * d * 8))
     assert block == 1 if d == 512 else (T - 1 > block and (T - 1) % block != 0)
@@ -809,7 +826,7 @@ def test_population_overflow_warns_from_the_step_that_overflows(d):
     ]
     P = matrix("cycle", 4)
     sched = StepSchedule(1000.0)
-    stats = AgentStats.from_data(datasets)
+    stats = AgentStats.from_data(datasets, 4)
     population = np.zeros(d)
     for first in range(1, 500):  # the first step whose population side warns
         with warnings.catch_warnings(record=True) as caught:
@@ -853,7 +870,7 @@ def test_diverged_run_follows_the_reference_to_its_last_state(sampler, m, diverg
         with pytest.raises(DivergenceError) as info:
             run(prob, datasets, P, sched, T=200, observer=states.append)
         assert states[-1].t == info.value.iteration - 1
-        stats = AgentStats.from_data(datasets)
+        stats = AgentStats.from_data(datasets, 6)
         assert_states_follow_the_reference(states, stats, prob, P, sched, "gossip_after_gradient")
         # the helpers' next step from the last state leaves the trust region
         last = engine.dgd_step(states[-1].local, stats, P.entries, diverging_eta)

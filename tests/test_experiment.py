@@ -233,6 +233,40 @@ def test_tiny_gamma_sweep_runs(tmp_path):
     assert all(row["diverged_at"] == "-1" for row in rows)
 
 
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        # an unknown name is at fault at every n: its error names it, and no kind or n
+        pytest.param(
+            "uniform_complete", "doubly_lazy",
+            r"\[topology\] weight_scheme = 'doubly_lazy': must be one of \('metropolis_lazy'",
+            id="scheme",
+        ),
+        pytest.param(
+            "kind = complete", "kind = hypercube",
+            r"\[topology\] kind = 'hypercube': must be one of \('complete'",
+            id="kind",
+        ),
+        # an error that depends on n names the first sweep n at fault
+        pytest.param(
+            f"{COMPLETE}\n\n[sweep]\nn = 4 8", "kind = cycle\n\n[sweep]\nn = 4 2",
+            r"\[topology\] kind = cycle at sweep n = 2: cycle needs n >= 3",
+            id="kind-at-n",
+        ),
+        pytest.param(
+            "kind = complete", "kind = cycle",
+            r"\[topology\] kind = cycle at sweep n = 4: uniform_complete weights need the complete",
+            id="scheme-at-n",
+        ),
+    ],
+)
+def test_topology_load_errors_name_what_is_at_fault(tmp_path, old, new, message):
+    assert old in BASE_CONFIG
+    with pytest.raises(ValueError, match=f"^{message}") as info:
+        load_config(write_config(tmp_path, BASE_CONFIG.replace(old, new)))
+    assert ("sweep n" in str(info.value)) == ("sweep n" in message)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ValueError):
         load_config(tmp_path / "absent.ini")
@@ -260,6 +294,24 @@ def test_sweep_counts_and_order(tmp_path):
     point = {r["sweep_index"]: (int(r["n"]), int(r["m"])) for r in rows}
     assert point == {"0": (4, 8), "1": (4, 16), "2": (8, 8), "3": (8, 16)}
     assert all(r["diverged_at"] == "-1" for r in rows)
+
+
+def test_sweep_builds_its_fixed_inputs_once(tmp_path, monkeypatch):
+    # 12 jobs over n = 4 and 8 share one problem and one gossip matrix per n
+    text = BASE_CONFIG.replace(COMPLETE, "kind = cycle\nchebyshev_k = 2")
+    cfg = load_config(write_config(tmp_path, text))
+    builds = []
+    for name in ("make_problem", "build_gossip_matrix", "chebyshev_accelerate"):
+        def counted(*args, build=getattr(experiment, name), name=name, **kwargs):
+            builds.append(name)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, counted)
+    rows = read_rows(run_experiment(cfg, out_dir=tmp_path))
+    assert len({(r["sweep_index"], r["replicate"]) for r in rows}) == 12
+    assert {name: builds.count(name) for name in builds} == {
+        "make_problem": 1, "build_gossip_matrix": 2, "chebyshev_accelerate": 2
+    }
 
 
 def test_csv_header_schema_and_float_roundtrip(tmp_path):
@@ -418,10 +470,10 @@ def test_failed_sweep_keeps_previous_csv(tmp_path, monkeypatch, threads):
     run_one = experiment._run_one
     last = (3, 8, 16, 2)  # (sweep_index, n, m, replicate) of the final job
 
-    def fail_last(cfg, sweep_index, n, m, replicate):
-        if (sweep_index, n, m, replicate) == last:
+    def fail_last(cfg, problem, sweep_index, P, m, replicate):
+        if (sweep_index, P.n, m, replicate) == last:
             raise RuntimeError("job failed")
-        return run_one(cfg, sweep_index, n, m, replicate)
+        return run_one(cfg, problem, sweep_index, P, m, replicate)
 
     monkeypatch.setattr(experiment, "_run_one", fail_last)
     with pytest.raises(RuntimeError, match="job failed"):
@@ -620,7 +672,7 @@ def test_sweep_columns_reduce_each_record_in_dense_and_stream_mode(tmp_path, mon
 
     def capture(problem, datasets, *args, **kwargs):
         datasets = list(datasets)  # an iterable of agents, read three times here
-        modes.append(experiment.engine.AgentStats.from_data(datasets).mode)
+        modes.append(experiment.engine.AgentStats.from_data(datasets, len(datasets)).mode)
         # a run that keeps its record columns
         columns = dict(kwargs, store=experiment.diagnostics._Columns)
         records.append(run(problem, datasets, *args, **columns).records)
@@ -733,10 +785,12 @@ def test_sweep_job_holds_no_per_agent_columns(tmp_path):
     text = text.replace("T_max = 3", "T_max = 2000").replace("replicates = 3", "replicates = 1")
     cfg = load_config(write_config(tmp_path, text))
     per_agent_bytes = 4 * 2001 * 16 * 8
-    lines = list(experiment._run_one(cfg, 0, 16, 256, 0))  # imports what a first job imports
+    problem = experiment.make_problem(16, 0.5, 1.0, noise_sigma=0.5)
+    job = (problem, 0, experiment._build_gossip(cfg, 16), 256, 0)
+    lines = list(experiment._run_one(cfg, *job))  # imports what a first job imports
     tracemalloc.start()
     try:
-        for row, line in enumerate(experiment._run_one(cfg, 0, 16, 256, 0)):
+        for row, line in enumerate(experiment._run_one(cfg, *job)):
             assert line == lines[row]
         _, peak = tracemalloc.get_traced_memory()
     finally:
