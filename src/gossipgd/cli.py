@@ -37,8 +37,8 @@ def _cmd_tune(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = experiment.load_config(args.config)
-    for n in cfg.sweep_n:
-        P = experiment._build_gossip(cfg, n)
+    for n in cfg.sweep_n:  # a repeated n prints again
+        P = cfg.gossip[n]
         label = cfg.kind if P.chebyshev_k == 0 else f"{cfg.kind} (chebyshev k={P.chebyshev_k})"
         print(f"n = {n}  [{label}, {cfg.weight_scheme}]")
         print(f"  sigma2 = {P.sigma2!r}")

@@ -34,6 +34,7 @@ import warnings
 from collections.abc import Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,14 +115,15 @@ class AgentStats:
 
         The type of the agents picks the mode: ``CoordinateData`` gives
         ``diag``, ``AgentData`` gives ``dense`` when m >= d and ``stream``
-        otherwise.  Mixing the two types is an error, and so is an iterable
-        that does not hold n agents.  Every agent is checked and reduced when
-        it arrives, written into its row of each statistic and dropped; only
-        the stream mode keeps its ``x``.  Every statistic is float64, whatever
-        the agents' dtype.  Each is allocated as one ``(n, ...)`` array on a
-        64-byte boundary at the first agent and divided by m in place at the
-        end: the bits of ``np.stack(..., dtype=np.float64) / m`` at a peak of
-        one set of statistics and one agent, not two.
+        otherwise.  Mixing the two types is an error, and so are an agent
+        with no samples and an iterable that does not hold n agents.  Every
+        agent is checked and reduced when it arrives, written into its row
+        of each statistic and dropped; only the stream mode keeps its ``x``.
+        Every statistic is float64, whatever the agents' dtype.  Each is
+        allocated as one ``(n, ...)`` array on a 64-byte boundary at the first
+        agent and divided by m in place at the end: the bits of
+        ``np.stack(..., dtype=np.float64) / m`` at a peak of one set of
+        statistics and one agent, not two.
         """
         if n < 1:
             raise ValueError(f"need n >= 1 agents, got n = {n}")
@@ -146,6 +148,8 @@ class AgentStats:
                     f" for agent {data.agent_id} after {shape}"
                 )
             m, d = shape
+            if m == 0:
+                raise ValueError(f"agent {data.agent_id} holds no samples")
             if np.shape(data.y) != (m,):
                 raise ValueError(
                     f"agent {data.agent_id} holds {m} samples but y has shape {np.shape(data.y)}"
@@ -173,8 +177,9 @@ class AgentStats:
     def n(self) -> int:
         return self.xy.shape[0]
 
+    @cached_property
     def _single_machine(self) -> AgentStats:
-        """The pooled machine: one agent that holds all n·m samples.
+        """The pooled machine: one agent that holds all n·m samples, built once.
 
         Its ``xy`` and ``cov_diag`` or ``cov`` are the agents' averaged over
         agents; from stream agents it keeps ``X^T X / (n m)`` of the stacked
@@ -287,10 +292,10 @@ def dgd_step(
 def single_machine_step(pooled: np.ndarray, stats: AgentStats, eta: float) -> np.ndarray:
     """Gradient descent on all nm samples pooled into one machine.
 
-    One gradient of :meth:`AgentStats._single_machine`, as in :func:`run`;
+    One gradient of :attr:`AgentStats._single_machine`, as in :func:`run`;
     its bits are not those of the mean of the agents' gradients.
     """
-    return pooled - eta * stats._single_machine().gradients(pooled)[0]
+    return pooled - eta * stats._single_machine.gradients(pooled)[0]
 
 
 def population_step(population: np.ndarray, problem: SpectralProblem, eta: float) -> np.ndarray:
@@ -439,7 +444,7 @@ def run(
             store(diagnostics.decompose(pending, problem))
             pending.clear()
 
-    tau, gossip, machine = problem.tau, P.entries, stats._single_machine()
+    tau, gossip, machine = problem.tau, P.entries, stats._single_machine
     gradients, ones = stats.gradients, np.ones(d)
     pooled_ahead = stats.mode == "diag"  # the pooled step is elementwise: it joins the population's
     if pooled_ahead:

@@ -15,6 +15,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field, fields as dataclass_fields
+from functools import cached_property
 from itertools import chain, product, repeat
 from pathlib import Path
 
@@ -87,6 +88,8 @@ class ExperimentConfig:
     A key that the problem, a gossip matrix or the step schedule takes is
     checked by building that object at load; any other key declares its own
     check.  The field order is the order of the CSV's config echo.
+    :attr:`problem` and :attr:`gossip` are built on first access and kept;
+    not being fields, they are built anew for a ``dataclasses.replace`` copy.
     """
 
     # problem: checked by make_problem
@@ -125,6 +128,29 @@ class ExperimentConfig:
         "run", str, "results.csv", _rule(lambda v: Path(v).name not in ("", ".."), "a file name")
     )
 
+    @cached_property
+    def problem(self):
+        """The sweep's problem; a bad one raises ValueError prefixed ``[problem]``."""
+        try:
+            return make_problem(self.d, self.gamma, self.r, self.R, self.noise_sigma, self.sampler)
+        except ValueError as exc:
+            raise ValueError(f"[problem] {exc}") from None
+
+    @cached_property
+    def gossip(self):
+        """Sweep n -> its gossip matrix, Chebyshev at ``chebyshev_k >= 2``; errors name the n."""
+        gossip = {}
+        for n in dict.fromkeys(self.sweep_n):
+            top = Topology(
+                self.kind, n, self.rows, self.cols, self.degree, self.edges, self.topology_seed
+            )
+            try:
+                P = build_gossip_matrix(build_topology(top), self.weight_scheme)
+                gossip[n] = P if self.chebyshev_k < 2 else chebyshev_accelerate(P, self.chebyshev_k)
+            except ValueError as exc:
+                raise ValueError(f"[topology] kind = {self.kind} at sweep n = {n}: {exc}") from None
+        return gossip
+
 
 # the CSV column order: one line per recorded iteration of one run
 RUN_RECORD_COLUMNS = (
@@ -150,15 +176,19 @@ def derive_seed(master_seed: int, sweep_index: int, replicate: int) -> int:
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment config file.
 
-    Every key is parsed, and checked where its field declares a check; then
-    load builds what the sweep builds: the problem, the gossip matrix of
-    every sweep n and, unless eta is auto, the step schedule.  So a config
-    that loads cannot fail on any of them mid-sweep, and each error names
-    its section.
+    A malformed INI file raises ValueError naming its line; ``%`` is
+    literal.  Every key is parsed, and checked where its field declares a
+    check; then load builds what the sweep builds: the config's problem
+    and gossip matrices, kept for the sweep, and, unless eta is auto, the
+    step schedule.  So a config that loads cannot fail on any of them
+    mid-sweep, and each error names its section.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str  # keys like T_max and R are case sensitive
-    read = parser.read(path)
+    try:
+        read = parser.read(os.fspath(path))
+    except configparser.Error as exc:  # its message names the file and the line
+        raise ValueError(" ".join(str(exc).split())) from None
     if not read:
         raise ValueError(f"config file not found: {path}")
     schema = dataclass_fields(ExperimentConfig)
@@ -194,15 +224,7 @@ def load_config(path) -> ExperimentConfig:
 
     if cfg.eta == ETA_AUTO and cfg.theta != 0.0:
         raise ValueError("[schedule] eta = auto requires theta = 0 (constant steps)")
-    try:
-        make_problem(cfg.d, cfg.gamma, cfg.r, cfg.R, cfg.noise_sigma, cfg.sampler)
-    except ValueError as exc:
-        raise ValueError(f"[problem] {exc}") from None
-    for n in cfg.sweep_n:
-        try:
-            _build_gossip(cfg, n)
-        except ValueError as exc:
-            raise ValueError(f"[topology] kind = {cfg.kind} at sweep n = {n}: {exc}") from None
+    cfg.problem, cfg.gossip  # built here, and kept for the sweep
     if cfg.eta != ETA_AUTO:
         try:
             engine.StepSchedule(cfg.eta, cfg.theta)
@@ -220,24 +242,8 @@ def _config_echo(cfg: ExperimentConfig) -> list[str]:
     return lines
 
 
-def _build_gossip(cfg: ExperimentConfig, n: int):
-    top = Topology(
-        kind=cfg.kind,
-        n=n,
-        rows=cfg.rows,
-        cols=cfg.cols,
-        degree=cfg.degree,
-        edges=cfg.edges,
-        seed=cfg.topology_seed,
-    )
-    P = build_gossip_matrix(build_topology(top), cfg.weight_scheme)
-    if cfg.chebyshev_k >= 2:
-        P = chebyshev_accelerate(P, cfg.chebyshev_k)
-    return P
-
-
-def _run_one(cfg: ExperimentConfig, problem, sweep_index: int, P, m: int, replicate: int):
-    """Execute one replicate on the sweep's ``problem`` and its n's gossip matrix ``P``.
+def _run_one(cfg: ExperimentConfig, sweep_index: int, n: int, m: int, replicate: int):
+    """Execute one replicate on ``cfg.problem`` and n's gossip matrix ``cfg.gossip[n]``.
 
     Returns an iterator over its records' CSV lines.  Each scored block of
     records is reduced over agents as it arrives, so no per-agent record
@@ -245,7 +251,8 @@ def _run_one(cfg: ExperimentConfig, problem, sweep_index: int, P, m: int, replic
     A diverged run keeps its partial records, which end at the last finite
     state.
     """
-    seed, n = derive_seed(cfg.master_seed, sweep_index, replicate), P.n
+    problem, P = cfg.problem, cfg.gossip[n]
+    seed = derive_seed(cfg.master_seed, sweep_index, replicate)
     plan = tune_plan(n, m, cfg.r, cfg.gamma, P.sigma2, problem.kappa_sq)
     if cfg.eta == ETA_AUTO:
         eta, updates = plan.eta, min(cfg.t_max, plan.t_stop)
@@ -299,21 +306,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", threads: int = 1) -> Path
 
     Jobs may execute on ``threads`` workers, but rows are assembled in
     sweep order and each job's randomness is fixed by its derived seed, so
-    the output bytes do not depend on the degree of parallelism.
+    the output bytes do not depend on the degree of parallelism.  The jobs
+    share ``cfg.problem`` and ``cfg.gossip``, built before the first job.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    # the problem and each n's gossip matrix are built once; both are frozen,
-    # with read-only arrays, so the jobs share them on any thread
-    problem = make_problem(cfg.d, cfg.gamma, cfg.r, cfg.R, cfg.noise_sigma, cfg.sampler)
-    gossip = {n: _build_gossip(cfg, n) for n in cfg.sweep_n}
+    # cached before the first job, so worker threads only read them; both
+    # are frozen, with read-only arrays
+    cfg.problem, cfg.gossip
     jobs = []
     for sweep_index, (n, m) in enumerate(product(cfg.sweep_n, cfg.sweep_m)):
         for replicate in range(cfg.replicates):
-            jobs.append((sweep_index, gossip[n], m, replicate))
+            jobs.append((sweep_index, n, m, replicate))
 
     def work(job):
-        return _run_one(cfg, problem, *job)
+        return _run_one(cfg, *job)
 
     out_path = Path(out_dir) / cfg.output
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -105,6 +105,25 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_config_exits_2(tmp_path, capsys):
+    # configparser's error becomes one line that names the file and the line
+    path = tmp_path / "dup.ini"
+    path.write_text(CONFIG.replace("d = 4", "d = 4\nd = 5"))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: While reading from {str(path)!r} [line 4]: option 'd' in section 'problem'"
+        " already exists\n"
+    )
+
+
+def test_spectrum_of_a_bad_graph_exits_2(tmp_path, capsys):
+    path = tmp_path / "cycle.ini"
+    text = CONFIG.replace("kind = complete\nweight_scheme = uniform_complete", "kind = cycle")
+    path.write_text(text.replace("n = 4 8", "n = 2 4"))
+    assert main(["spectrum", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: [topology] kind = cycle at sweep n = 2:")
+
+
 def test_bad_summarize_input_exits_2(tmp_path, capsys):
     junk = tmp_path / "junk.csv"
     junk.write_text("a,b\n1,2\n")

@@ -374,6 +374,12 @@ def test_agent_stats_rejects_mismatched_shapes():
                 AgentStats.from_data([agent([1.0, 2.0], 0), agent(y, 7)], 2)
     with pytest.raises(ValueError, match="agent 3"):
         AgentStats.from_data([AgentData(x=np.ones(2), y=np.ones(2), agent_id=3)], 1)
+    # an agent with no samples would give nan statistics, so it is an input error
+    empty = np.array([], dtype=int)
+    for agent in (CoordinateData(empty, np.ones(0), np.ones(0), 2, 4),
+                  AgentData(x=np.ones((0, 2)), y=np.ones(0), agent_id=4)):
+        with pytest.raises(ValueError, match="agent 4 holds no samples"):
+            AgentStats.from_data([agent], 1)
 
 
 @pytest.mark.parametrize("feed", [list, iter], ids=["list", "generator"])
@@ -527,7 +533,7 @@ def test_single_machine_holds_the_concatenated_samples(sampler, n, m, d, mode):
     prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
     agents = [sample_agent_data(prob, m, v, seed=5) for v in range(n)]
     stats = AgentStats.from_data(agents, n)
-    machine = stats._single_machine()
+    machine = stats._single_machine
     def stacked(name):
         return np.concatenate([getattr(a, name) for a in agents])
 
@@ -653,13 +659,8 @@ def test_stride_records_equal_stride_one_records(sampler, m, diverging_eta):
         assert_same_bits(spaced.records, row, every.records, t - 1)
 
 
-def reference_step(state, stats, prob, P, eta, variant, machine=None):
-    """The state after ``state`` by the public one-step helpers.
-
-    Given ``machine``, ``stats._single_machine()`` built once by the caller,
-    the pooled iterate takes :func:`engine.single_machine_step`'s own
-    expression on it instead of building the machine anew.
-    """
+def reference_step(state, stats, prob, P, eta, variant):
+    """The state after ``state`` by the public one-step helpers."""
     noise = engine.noise_terms(state.population, stats, prob)
     popcov_state, popcov_avg = popcov_step(
         state.popcov_state, state.popcov_avg, noise, P.entries, prob.tau, eta
@@ -667,10 +668,7 @@ def reference_step(state, stats, prob, P, eta, variant, machine=None):
     return engine.TrainState(
         t=state.t + 1,
         local=engine.dgd_step(state.local, stats, P.entries, eta, variant),
-        pooled=(
-            engine.single_machine_step(state.pooled, stats, eta) if machine is None
-            else state.pooled - eta * machine.gradients(state.pooled)[0]
-        ),
+        pooled=engine.single_machine_step(state.pooled, stats, eta),
         population=population_step(state.population, prob, eta),
         popcov_state=popcov_state,
         popcov_avg=popcov_avg,
@@ -678,11 +676,8 @@ def reference_step(state, stats, prob, P, eta, variant, machine=None):
 
 
 def assert_states_follow_the_reference(states, stats, prob, P, sched, variant):
-    # the first step calls single_machine_step itself; the others share one pooled machine
-    machine = None
     for prev, state in zip(states, states[1:]):
-        want = reference_step(prev, stats, prob, P, sched.at(prev.t), variant, machine)
-        machine = stats._single_machine() if machine is None else machine
+        want = reference_step(prev, stats, prob, P, sched.at(prev.t), variant)
         assert state.t == want.t
         for f in dataclasses.fields(state)[1:]:
             got = getattr(state, f.name)
@@ -761,10 +756,9 @@ def test_population_blocks_keep_the_reference_bits(monkeypatch, d, n, T, mode, v
     assert stats.mode == mode
     if d == 512:
         # the d = 512 statistics and pooled machine take a second to build:
-        # run() and the helpers share these (the fused-step test builds anew)
-        machine = stats._single_machine()
+        # run() and the helpers share these statistics, and so the machine
+        # they keep (the fused-step test builds anew)
         monkeypatch.setattr(AgentStats, "from_data", staticmethod(lambda agents, n: stats))
-        monkeypatch.setattr(AgentStats, "_single_machine", lambda self: machine)
     block = max(1, engine._BLOCK_BYTES // (n * d * 8))
     assert block == 1 if d == 512 else (T - 1 > block and (T - 1) % block != 0)
     P = matrix("cycle", n)

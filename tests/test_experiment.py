@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gossipgd import derive_seed, experiment, load_config, run_experiment, summarize, tune_plan
+from gossipgd import (
+    cli, derive_seed, experiment, load_config, run_experiment, summarize, tune_plan
+)
 from gossipgd.experiment import RUN_RECORD_COLUMNS, SCHEMA_VERSION
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -198,6 +200,11 @@ COMPLETE = "kind = complete\nweight_scheme = uniform_complete"
         pytest.param(lambda t: t.replace("output = results.csv", "output ="), id="empty"),
         pytest.param(lambda t: t.replace("output = results.csv", "output = ."), id="dot"),
         pytest.param(lambda t: t.replace("output = results.csv", "output = .."), id="dotdot"),
+        # text that is not INI
+        pytest.param(lambda t: t.replace("d = 4", "d = 4\nd = 5"), id="duplicate-key"),
+        pytest.param(lambda t: t + "\n[run]\nstride = 2\n", id="duplicate-section"),
+        pytest.param(lambda t: "d = 4\n" + t, id="outside-a-section"),
+        pytest.param(lambda t: t.replace("T_max = 3", "T_max = 3\nbudget"), id="not-key-value"),
     ],
 )
 def test_load_config_rejects(tmp_path, mutate):
@@ -267,6 +274,11 @@ def test_topology_load_errors_name_what_is_at_fault(tmp_path, old, new, message)
     assert ("sweep n" in str(info.value)) == ("sweep n" in message)
 
 
+def test_percent_in_a_value_is_literal(tmp_path):
+    text = BASE_CONFIG.replace("output = results.csv", "output = 100%.csv")
+    assert load_config(write_config(tmp_path, text)).output == "100%.csv"
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ValueError):
         load_config(tmp_path / "absent.ini")
@@ -297,9 +309,9 @@ def test_sweep_counts_and_order(tmp_path):
 
 
 def test_sweep_builds_its_fixed_inputs_once(tmp_path, monkeypatch):
-    # 12 jobs over n = 4 and 8 share one problem and one gossip matrix per n
-    text = BASE_CONFIG.replace(COMPLETE, "kind = cycle\nchebyshev_k = 2")
-    cfg = load_config(write_config(tmp_path, text))
+    # loading builds one problem and one gossip matrix per n; the 12 jobs
+    # over n = 4 and 8, or the spectrum, read them and build nothing more
+    path = write_config(tmp_path, BASE_CONFIG.replace(COMPLETE, "kind = cycle\nchebyshev_k = 2"))
     builds = []
     for name in ("make_problem", "build_gossip_matrix", "chebyshev_accelerate"):
         def counted(*args, build=getattr(experiment, name), name=name, **kwargs):
@@ -307,11 +319,14 @@ def test_sweep_builds_its_fixed_inputs_once(tmp_path, monkeypatch):
             return build(*args, **kwargs)
 
         monkeypatch.setattr(experiment, name, counted)
-    rows = read_rows(run_experiment(cfg, out_dir=tmp_path))
+    for argv in (["run", str(path), "--out", str(tmp_path)], ["spectrum", str(path)]):
+        builds.clear()
+        assert cli.main(argv) == 0
+        assert {name: builds.count(name) for name in builds} == {
+            "make_problem": 1, "build_gossip_matrix": 2, "chebyshev_accelerate": 2
+        }, argv[0]
+    rows = read_rows(tmp_path / "results.csv")
     assert len({(r["sweep_index"], r["replicate"]) for r in rows}) == 12
-    assert {name: builds.count(name) for name in builds} == {
-        "make_problem": 1, "build_gossip_matrix": 2, "chebyshev_accelerate": 2
-    }
 
 
 def test_csv_header_schema_and_float_roundtrip(tmp_path):
@@ -462,6 +477,15 @@ def test_sparse_auto_demo_matches_golden_csv(tmp_path):
     assert out.read_bytes() == (DEMOS / "output" / "sparse_auto.csv").read_bytes()
 
 
+def test_config_not_loaded_fails_before_writing(tmp_path):
+    # a replaced config builds and checks its own inputs, before the first job
+    cfg = load_config(write_config(tmp_path))
+    cfg = dataclasses.replace(cfg, kind="cycle", sweep_n=(2, 4))
+    with pytest.raises(ValueError, match=r"^\[topology\] kind = cycle at sweep n = 2: "):
+        run_experiment(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_failed_sweep_keeps_previous_csv(tmp_path, monkeypatch, threads):
     cfg = load_config(write_config(tmp_path))
@@ -470,10 +494,10 @@ def test_failed_sweep_keeps_previous_csv(tmp_path, monkeypatch, threads):
     run_one = experiment._run_one
     last = (3, 8, 16, 2)  # (sweep_index, n, m, replicate) of the final job
 
-    def fail_last(cfg, problem, sweep_index, P, m, replicate):
-        if (sweep_index, P.n, m, replicate) == last:
+    def fail_last(cfg, *job):
+        if job == last:
             raise RuntimeError("job failed")
-        return run_one(cfg, problem, sweep_index, P, m, replicate)
+        return run_one(cfg, *job)
 
     monkeypatch.setattr(experiment, "_run_one", fail_last)
     with pytest.raises(RuntimeError, match="job failed"):
@@ -785,8 +809,7 @@ def test_sweep_job_holds_no_per_agent_columns(tmp_path):
     text = text.replace("T_max = 3", "T_max = 2000").replace("replicates = 3", "replicates = 1")
     cfg = load_config(write_config(tmp_path, text))
     per_agent_bytes = 4 * 2001 * 16 * 8
-    problem = experiment.make_problem(16, 0.5, 1.0, noise_sigma=0.5)
-    job = (problem, 0, experiment._build_gossip(cfg, 16), 256, 0)
+    job = (0, 16, 256, 0)
     lines = list(experiment._run_one(cfg, *job))  # imports what a first job imports
     tracemalloc.start()
     try:
