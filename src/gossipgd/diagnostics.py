@@ -24,7 +24,7 @@ from .problem import AgentData, CoordinateData, SpectralProblem
 _STAGE_BYTES = 64 * 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Records:
     """Decomposition records as read-only columns, one row per recorded iteration.
 
@@ -56,43 +56,50 @@ class Records:
 
 
 def decompose(states, problem: SpectralProblem) -> Records:
-    """Score a non-empty block of :class:`~gossipgd.engine.TrainState` against the oracle.
+    """Score a block of recorded states against the oracle.
 
-    Returns one :class:`Records` table whose row r scores ``states[r]``, bit
-    for bit as a block of that state alone: the per-agent fields are one
-    matrix-vector product per state and ``bias_sq`` and ``sample_var`` one
-    ``(1, d) @ (d,)`` product per state, which gives the bits of
-    ``np.dot(tau, row)``.
+    ``states`` is a :class:`~gossipgd.engine.TrainState` whose fields carry
+    a leading record axis of R >= 1 rows: ``t`` (R,), ``local`` and
+    ``popcov_state`` (R, n, d), and ``pooled``, ``population`` and
+    ``popcov_avg`` (R, d), of any strides.  Returns one :class:`Records`
+    table whose row r scores state r, bit for bit as a block of that state
+    alone: the per-agent fields are one matrix-vector product per state and
+    ``bias_sq`` and ``sample_var`` one ``(1, d) @ (d,)`` product per state,
+    which gives the bits of ``np.dot(tau, row)``.  The records share no
+    memory with ``states``.
     """
     tau = problem.tau
     target = problem.target
-    local = np.array([s.local for s in states])  # (R, n, d)
-    pooled = np.array([s.pooled for s in states])  # (R, d)
-    population = np.array([s.population for s in states])
+    local, pooled, population = states.local, states.pooled, states.population
 
-    dev_target = local - target
-    excess = (dev_target * dev_target) @ tau
+    sq = local - target  # (R, n, d); squared in place, then reused
+    sq *= sq
+    excess = sq @ tau
 
-    gap_pop = population - target
-    bias_sq = ((gap_pop * gap_pop)[:, None, :] @ tau)[:, 0]
-    gap_pool = pooled - population
-    sample_var = ((gap_pool * gap_pool)[:, None, :] @ tau)[:, 0]
+    gap = population - target
+    gap *= gap
+    bias_sq = (gap[:, None, :] @ tau)[:, 0]
+    gap = pooled - population
+    gap *= gap
+    sample_var = (gap[:, None, :] @ tau)[:, 0]
 
     dev = local - pooled[:, None, :]
-    network_err = (dev * dev) @ tau
+    pvec = states.popcov_state - states.popcov_avg[:, None, :]
+    rvec = np.subtract(dev, pvec, out=sq)
+    rvec *= rvec
+    residual_err = rvec @ tau
+    dev *= dev
+    network_err = dev @ tau
+    pvec *= pvec
+    popcov_err = pvec @ tau
 
-    center = local.mean(axis=1)
-    off = local - center[:, None, :]
-    consensus_err = np.sqrt((off * off).sum(axis=-1).max(axis=-1))
-
-    popcov_avg = np.array([s.popcov_avg for s in states])
-    pvec = np.array([s.popcov_state for s in states]) - popcov_avg[:, None, :]
-    popcov_err = (pvec * pvec) @ tau
-    rvec = dev - pvec
-    residual_err = (rvec * rvec) @ tau
+    center = np.add.reduce(local, 1) / local.shape[1]  # the bits of local.mean(axis=1)
+    off = np.subtract(local, center[:, None, :], out=sq)
+    off *= off
+    consensus_err = np.sqrt(off.sum(axis=-1).max(axis=-1))
 
     return Records(
-        t=np.array([s.t for s in states]),
+        t=np.array(states.t),
         excess=excess,
         bias_sq=bias_sq,
         sample_var=sample_var,

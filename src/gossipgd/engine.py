@@ -22,9 +22,12 @@ block of steps ahead.  The public one-step helpers (:func:`dgd_step`,
 and :func:`gossipgd.diagnostics.popcov_step`) are its reference: the fused step
 evaluates each of their expressions in the same order, in a block or not,
 so every state :func:`run` reaches is their step from the state before,
-bit for bit.  :func:`run` scores the states it records in blocks and hands
-each block to a record store, its ``store`` argument: by default the run's
-record columns, and in a sweep job a summary that keeps only the CSV cells.
+bit for bit.  :func:`run` computes each state straight into a row of its
+record block, one array per field allocated once per run, scores the rows
+of each full block with :func:`gossipgd.diagnostics.decompose` where they
+are, and hands the scores to a record store, its ``store`` argument: by
+default the run's record columns, and in a sweep job a summary that keeps
+only the CSV cells.  It builds no per-step object.
 """
 
 from __future__ import annotations
@@ -47,15 +50,17 @@ PROTOCOL_VARIANTS = ("gossip_after_gradient", "gossip_before_gradient")
 
 DIVERGENCE_NORM = 1e12
 
-# recorded states are scored by diagnostics.decompose in blocks of at most
-# this many bytes of (n, d) local iterates (and at least one state); the
-# population side is computed as many steps ahead.  Larger blocks, or a floor
-# in steps, lose where blocks are smallest (n = 4, d = 512: two states).
-# There 64 and 96 KiB read +13% and +17% sweep time and +0.25 and +0.7 MB
-# peak RSS, and at eight states decompose's temporaries reach 128 KiB,
-# glibc's mmap threshold, so each is mapped and page-faulted anew on every
-# call: 600 us a call, against 280 us with the threshold raised (2-core
-# Xeon VM)
+# recorded states are computed into, and scored by diagnostics.decompose
+# from, a record block of at most this many bytes of (n, d) local iterates
+# (and at least one state), whose rows run allocates once, with at least two
+# rows and two more for unrecorded states; the population side is computed
+# as many steps ahead, and each of decompose's three (R, n, d) temporaries
+# is the block's size.  Larger blocks, or a floor in steps, lose where
+# blocks are smallest (n = 4, d = 512: two states).  There 64 and 96 KiB
+# read +13% and +17% sweep time and +0.25 and +0.7 MB peak RSS, and at
+# eight states decompose's temporaries reach 128 KiB, glibc's mmap
+# threshold, so each is mapped and page-faulted anew on every call: 600 us
+# a call, against 280 us with the threshold raised (2-core Xeon VM)
 _BLOCK_BYTES = 32 * 1024
 
 
@@ -84,7 +89,7 @@ class StepSchedule:
         return self.eta if self.theta == 0.0 else self.eta * float(t) ** (-self.theta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentStats:
     """Per-agent sufficient statistics for least-squares gradients.
 
@@ -251,9 +256,14 @@ def _moments(data: AgentData, dense: bool):
     return np.einsum("md,m->d", x, data.y), (np.einsum("md,me->de", x, x) if dense else x)
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainState:
-    """All lockstep iterates at iteration ``t`` (1-based, all-zero start)."""
+    """All lockstep iterates at iteration ``t`` (1-based, all-zero start).
+
+    With a leading record axis on every field (``t`` (R,), ``local`` (R, n,
+    d), ...) it is a block of R recorded states, the form
+    :func:`gossipgd.diagnostics.decompose` scores.
+    """
 
     t: int
     local: np.ndarray  # (n, d)
@@ -263,7 +273,7 @@ class TrainState:
     popcov_avg: np.ndarray  # (d,)
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
     records: diagnostics.Records
     final: TrainState
@@ -384,7 +394,15 @@ def run(
     :class:`DivergenceError` is raised carrying them.  The
     recorded states are scored in blocks by
     :func:`gossipgd.diagnostics.decompose`, whose rows do not depend on the
-    block, and each scored block is handed, in order, to the record store
+    block.  Each state is computed with ``out=`` into its row of the record
+    block, allocated once per run as one array per field, or, if it is not
+    recorded, into one of two scratch rows; a diverged run copies its last
+    state into the block if it was not recorded.  The block holds at least
+    two rows, so a state never overwrites the row it is computed from.  No
+    per-step object is built: ``observer(state)`` receives a
+    :class:`TrainState` of copies at every iteration, as does
+    :class:`RunResult`'s ``final``, since the rows are reused.  Each
+    scored block is handed, in order, to the record store
     ``store(rows)`` returns for the ``rows`` states the run can record.
     What the store's ``records()`` returns is the ``records`` of the
     :class:`RunResult` or :class:`DivergenceError`.  The default store is
@@ -420,29 +438,42 @@ def run(
             stacklevel=2,
         )
 
-    if initial_local is None:
-        local = np.zeros((n, d))
-    else:
-        local = np.array(initial_local, dtype=float)
-        if local.shape != (n, d):
+    if initial_local is not None:
+        initial_local = np.array(initial_local, dtype=float)
+        if initial_local.shape != (n, d):
             raise ValueError(f"initial_local must have shape {(n, d)}")
-    state = TrainState(
-        t=1,
-        local=local,
-        pooled=np.zeros(d),
-        population=np.zeros(d),
-        popcov_state=np.zeros((n, d)),
-        popcov_avg=np.zeros(d),
-    )
 
-    block = max(1, _BLOCK_BYTES // local.nbytes)
+    block = max(1, _BLOCK_BYTES // (n * d * 8))
+    rows = max(block, 2)
+    # each field is one array of states: rows 0 .. rows - 1 hold recorded
+    # states, the open block at rows base .. base + filled - 1, and rows
+    # `rows` and `rows + 1` the unrecorded ones.  A state is computed into its
+    # row from the row of the state before, never the same row: a full block
+    # of one state alternates between rows 0 and 1
+    local_rows, popcov_rows = np.empty((2, rows + 2, n, d))
+    shared_rows = np.empty((rows + 2, 3, d))  # pooled, population, popcov_avg
+    t_rows = np.empty(rows, np.int64)
+    locals_, popcovs = list(local_rows), list(popcov_rows)
+    pooled_rows, avg_rows = list(shared_rows[:, 0]), list(shared_rows[:, 2])
+    cur = 0 if stride == 1 or T == 1 else rows  # the row of the state at t
+    local_rows[cur] = 0.0 if initial_local is None else initial_local
+    popcov_rows[cur] = shared_rows[cur] = 0.0
+    base = filled = 0
     store = store(_recorded_rows(T, stride))
-    pending = []  # recorded states not yet scored
+
+    def states(index, t, keep=np.asarray):
+        """The states in rows ``index``; ``keep=np.copy`` for states that outlive their rows."""
+        shared = shared_rows[index]
+        fields = local_rows[index], shared[..., 0, :], shared[..., 1, :], popcov_rows[index]
+        return TrainState(t, *map(keep, (*fields, shared[..., 2, :])))
 
     def flush():
-        if pending:
-            store(diagnostics.decompose(pending, problem))
-            pending.clear()
+        nonlocal base, filled
+        if filled:
+            rec = slice(base, base + filled)
+            store(diagnostics.decompose(states(rec, t_rows[rec]), problem))
+            # the next block starts at row 0, or at row 1 after a one-state block in row 0
+            base, filled = (base + block) % rows, 0
 
     tau, gossip, machine = problem.tau, P.entries, stats._single_machine
     gradients, ones = stats.gradients, np.ones(d)
@@ -450,11 +481,21 @@ def run(
     if pooled_ahead:
         c, xy = machine.cov_diag[0], machine.xy[0]
         recursion = (np.stack([c, ones]), np.stack([xy, problem.target]), np.stack([ones, tau]))
+        advanced_rows = list(shared_rows[:, :2])
     else:
         recursion = (ones[None], problem.target[None], tau[None])
-    rows = np.zeros(recursion[2].shape)  # the rows _population_block advances, at t = 1
+        advanced_rows = list(shared_rows[:, 1:2])
+    advanced = np.zeros(recursion[2].shape)  # the rows _population_block advances, at t = 1
     after = variant == "gossip_after_gradient"
-    eta = None  # the step size the factors below were computed for
+
+    def factors(eta):
+        """The step-size factors, computed once per step size."""
+        decay = 1.0 - eta * tau
+        return decay, np.tile(decay, (n, 1)), eta * recursion[2]
+
+    decaying = sched.theta != 0.0  # else sched.at is called once
+    eta = sched.at(1)
+    decay, decay_rows, F = factors(eta)
     first = end = 1  # the population side is computed for steps first .. end - 1
     errors = []  # floating-point errors a block computed ahead raised
 
@@ -463,28 +504,37 @@ def run(
 
     for t in range(1, T + 1):
         if observer is not None:
-            observer(state)
-        if t % stride == 0 or t == T:
-            pending.append(state)
-            if len(pending) == block:
+            observer(states(cur, t, np.copy))
+        if cur < rows:
+            t_rows[cur] = t
+            filled += 1
+            if filled == block:
                 flush()
         if t == T:
             break
-        # each expression keeps its reference helper's order of evaluation
-        eta_t = sched.at(t)
-        if eta_t != eta:
-            eta = eta_t
-            decay = 1.0 - eta * tau
-            decay_rows = np.tile(decay, (n, 1))
-            F = eta * recursion[2]
-        local = state.local
-        if after:
-            new_local = gossip @ (local - eta * gradients(local))
+        if decaying:
+            eta_t = sched.at(t)
+            if eta_t != eta:
+                eta = eta_t
+                decay, decay_rows, F = factors(eta)
+        if (t + 1) % stride == 0 or t + 1 == T:
+            new = base + filled
         else:
-            new_local = gossip @ local - eta * gradients(local)
+            new = rows + 1 if cur == rows else rows
+        # each expression keeps its reference helper's order of evaluation
+        local, new_local = locals_[cur], locals_[new]
+        if after:
+            np.matmul(gossip, local - eta * gradients(local), out=new_local)
+        else:
+            np.matmul(gossip, local, out=new_local)
+            new_local -= eta * gradients(local)
         if not math.sqrt(np.vdot(new_local, new_local)) <= DIVERGENCE_NORM:  # also true for nan
-            if t % stride != 0:
-                pending.append(state)
+            if cur >= rows:  # not recorded: the records end at it
+                last = base + filled
+                for column in (local_rows, popcov_rows, shared_rows):
+                    column[last] = column[cur]
+                t_rows[last] = t
+                filled += 1
             flush()
             raise DivergenceError(t + 1, store.records())
         if t == end:
@@ -492,28 +542,29 @@ def run(
             # that overflows is dropped, and from then on each step is
             # computed as the run reaches it and warns as a lone step does
             quiet = not errors
-            steps = [sched.at(s) for s in range(t, min(t + block, T) if quiet else t + 1)]
+            stop = min(t + block, T) if quiet else t + 1
+            steps = [sched.at(s) for s in range(t, stop)] if decaying else [eta] * (stop - t)
             with np.errstate(call=note, over="call", invalid="call") if quiet else nullcontext():
-                ahead = _population_block(stats, tau, rows, steps, recursion, F)
+                ahead = _population_block(stats, tau, advanced, steps, recursion, F)
             if quiet and errors:
                 steps = steps[:1]
-                ahead = _population_block(stats, tau, rows, steps, recursion, F)
+                ahead = _population_block(stats, tau, advanced, steps, recursion, F)
             path, eta_noise, increment = ahead
-            rows = path[-1]
+            advanced = path[-1]
             first, end = t, t + len(steps)
         k = t - first
-        state = TrainState(
-            t=t + 1,
-            local=new_local,
-            pooled=path[k, 0] if pooled_ahead else (
-                state.pooled - eta * machine.gradients(state.pooled)[0]
-            ),
-            population=path[k, -1],
-            popcov_state=gossip @ (decay_rows * state.popcov_state + eta_noise[k]),
-            popcov_avg=decay * state.popcov_avg + increment[k],
-        )
+        advanced_rows[new][...] = path[k]
+        if not pooled_ahead:
+            pooled = pooled_rows[cur]
+            np.subtract(pooled, eta * machine.gradients(pooled)[0], out=pooled_rows[new])
+        noisy = decay_rows * popcovs[cur]
+        noisy += eta_noise[k]
+        np.matmul(gossip, noisy, out=popcovs[new])
+        np.multiply(decay, avg_rows[cur], out=avg_rows[new])
+        avg_rows[new] += increment[k]
+        cur = new
     flush()
-    return RunResult(records=store.records(), final=state)
+    return RunResult(records=store.records(), final=states(cur, T, np.copy))
 
 
 def _recorded_rows(T: int, stride: int) -> int:

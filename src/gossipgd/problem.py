@@ -17,7 +17,7 @@ import numpy as np
 SAMPLERS = ("coordinate", "gaussian")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralProblem:
     """Frozen problem instance; build through :func:`make_problem`."""
 
@@ -33,7 +33,7 @@ class SpectralProblem:
     capacity_constant: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentData:
     """One agent's local sample: rows of x with responses y."""
 
@@ -42,7 +42,7 @@ class AgentData:
     agent_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoordinateData:
     """One agent's coordinate sample as drawn.
 

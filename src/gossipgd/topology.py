@@ -199,7 +199,7 @@ def _greedy_matching(rng, n: int, keys) -> list[tuple[int, int]] | None:
     return pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GossipMatrix:
     """Symmetric doubly stochastic averaging matrix with cached spectrum.
 

@@ -1,5 +1,7 @@
 """Error decomposition, popcov accumulators, and the path-sum cross-check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,12 @@ from gossipgd.engine import TrainState
 
 def matrix(kind, n, scheme="metropolis_lazy", **kw):
     return build_gossip_matrix(build_topology(Topology(kind, n, **kw)), scheme)
+
+
+def stack(states):
+    """The block ``decompose`` scores: each field of ``states`` stacked along a record axis."""
+    fields = dataclasses.fields(TrainState)
+    return TrainState(*(np.array([getattr(s, f.name) for s in states]) for f in fields))
 
 
 def small_instance(seed, n=3, d=3, m=4, noise=0.5, sampler="coordinate"):
@@ -49,7 +57,7 @@ def test_decompose_matches_direct_formulas():
         popcov_state=pc_state,
         popcov_avg=pc_avg,
     )
-    rec = decompose([state], prob)  # a block of one state: row 0
+    rec = decompose(stack([state]), prob)  # a block of one state: row 0
     assert len(rec) == 1 and rec.t.tolist() == [7]
     for v in range(2):
         assert rec.excess[0, v] == pytest.approx(tau @ (local[v] - target) ** 2, rel=1e-15)
@@ -75,7 +83,7 @@ def test_decompose_zero_state():
         popcov_state=np.zeros((3, 4)),
         popcov_avg=np.zeros(4),
     )
-    rec = decompose([state], prob)  # a block of one state: row 0
+    rec = decompose(stack([state]), prob)  # a block of one state: row 0
     start_risk = float(prob.tau @ prob.target**2)
     assert rec.bias_sq[0] == pytest.approx(start_risk, rel=1e-15)
     assert rec.excess.shape == (1, 3)
@@ -104,7 +112,7 @@ def test_decompose_scalars_equal_one_dot_per_row(d):
         )
         for t in range(1, 501)
     ]
-    records = decompose(states, prob)
+    records = decompose(stack(states), prob)
     gap_pop = np.array([s.population for s in states]) - prob.target
     gap_pool = np.array([s.pooled - s.population for s in states])
     assert np.array_equal(records.bias_sq, [np.dot(prob.tau, g * g) for g in gap_pop])

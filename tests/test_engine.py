@@ -1,5 +1,6 @@
 """Lockstep iteration of the distributed, pooled and population processes."""
 
+import copy
 import dataclasses
 import inspect
 import math
@@ -620,6 +621,12 @@ def test_record_stride_semantics():
     assert ragged.records.t.tolist() == [3, 6, 7]
 
 
+def stack(states):
+    """The block ``decompose`` scores: each field of ``states`` stacked along a record axis."""
+    fields = dataclasses.fields(engine.TrainState)
+    return engine.TrainState(*(np.array([getattr(s, f.name) for s in states]) for f in fields))
+
+
 def assert_same_bits(records, row, ref, ref_row):
     # row `row` of records holds, column by column, the bits of row `ref_row` of ref
     for name, column in vars(records).items():
@@ -657,6 +664,114 @@ def test_stride_records_equal_stride_one_records(sampler, m, diverging_eta):
     assert spaced.records.t.tolist() == list(range(7, last, 7)) + [last]
     for row, t in enumerate(spaced.records.t.tolist()):
         assert_same_bits(spaced.records, row, every.records, t - 1)
+
+
+# (mode, eta) at n = 17, d = 256, where the local iterates fill 34,816 bytes
+# and a block holds one state: they diverge at iteration 27 and 32, after a
+# state that stride 3 skips
+ONE_STATE_DIVERGENCE = [("diag", 1.0), ("dense", 3.5)]
+
+
+@pytest.mark.parametrize("mode,diverging_eta", ONE_STATE_DIVERGENCE)
+def test_one_state_blocks_end_a_diverged_run_at_its_last_state(monkeypatch, mode, diverging_eta):
+    # a one-state block alternates between two rows; a diverged run's
+    # records end at its last finite state, which stride 3 did not record,
+    # and every row keeps the bits of its state scored alone
+    n, d = 17, 256
+    m, sampler = (32, "coordinate") if mode == "diag" else (d + 3, "gaussian")
+    prob = make_problem(d, 0.5, 1.0, noise_sigma=0.5, sampler=sampler)
+    datasets = [sample_agent_data(prob, m, v, seed=3) for v in range(n)]
+    stats = AgentStats.from_data(datasets, n)
+    assert stats.mode == mode and engine._BLOCK_BYTES // (n * d * 8) == 0
+    monkeypatch.setattr(AgentStats, "from_data", staticmethod(lambda agents, n: stats))
+    P = matrix("cycle", n)
+    sched = StepSchedule(diverging_eta)
+    errors, states = [], []
+    for stride in (1, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(DivergenceError) as info:
+                run(prob, datasets, P, sched, T=200, stride=stride, observer=states.append)
+        errors.append(info.value)
+    every, spaced = errors
+    last = every.iteration - 1
+    assert spaced.iteration == every.iteration and last % 3 != 0
+    assert every.records.t.tolist() == list(range(1, last + 1))
+    assert spaced.records.t.tolist() == list(range(3, last, 3)) + [last]
+    states = states[:last]  # the stride-3 run saw the same states again
+    with np.errstate(all="ignore"):
+        assert_states_follow_the_reference(states, stats, prob, P, sched, "gossip_after_gradient")
+    for row, state in enumerate(states):
+        assert_same_bits(every.records, row, decompose(stack([state]), prob), 0)
+    for row, t in enumerate(spaced.records.t.tolist()):
+        assert_same_bits(spaced.records, row, every.records, t - 1)
+
+
+def test_stride_one_run_builds_no_state_but_its_final_one(monkeypatch):
+    # states are computed into the rows of the record block and scored
+    # there: besides one block per decompose call, the run builds one
+    # TrainState, the final one (it built one per iteration before)
+    built, scored = [], []
+
+    class Counted(engine.TrainState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    def counted(states, problem):
+        scored.append(states)
+        return decompose(states, problem)
+
+    monkeypatch.setattr(engine, "TrainState", Counted)
+    monkeypatch.setattr(engine.diagnostics, "decompose", counted)
+    prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5)
+    datasets = [sample_agent_data(prob, 32, v, seed=3) for v in range(6)]
+    T = 200
+    result = run(prob, datasets, matrix("cycle", 6), StepSchedule(0.05), T=T)
+    assert len(result.records) == T and len(scored) == math.ceil(T / (engine._BLOCK_BYTES // 768))
+    assert [s for s in built if np.ndim(s.t) == 0] == [result.final]
+    assert [s for s in built if np.ndim(s.t) == 1] == scored
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_states_handed_out_keep_their_values(stride):
+    # the run reuses the rows its states are computed into; the states the
+    # observer and RunResult.final receive are copies that stay as they were
+    prob = make_problem(16, 0.5, 1.0, noise_sigma=0.5)
+    datasets = [sample_agent_data(prob, 32, v, seed=3) for v in range(6)]
+    states, seen = [], []
+
+    def observe(state):
+        states.append(state)
+        seen.append(copy.deepcopy(state))
+
+    T = 3 * engine._BLOCK_BYTES // (6 * 16 * 8) + 5  # the rows are reused twice over
+    final = run(prob, datasets, matrix("cycle", 6), StepSchedule(0.05), T=T, stride=stride,
+                observer=observe).final
+    assert [s.t for s in states] == list(range(1, T + 1)) and final.t == T
+    for state, then in zip([*states, final], [*seen, seen[-1]]):
+        for f in dataclasses.fields(state)[1:]:
+            assert bits(getattr(state, f.name)).tobytes() == bits(getattr(then, f.name)).tobytes()
+    assert not np.shares_memory(final.local, states[-1].local)
+
+
+def test_objects_holding_arrays_compare_and_hash_by_identity():
+    # field-by-field equality would compare arrays and raise; these compare,
+    # and hash, as the objects they are
+    def build():
+        prob = make_problem(4, 0.5, 1.0, noise_sigma=0.5)
+        coordinates = [sample_agent_data(prob, 8, v, seed=3) for v in range(3)]
+        gaussian = sample_agent_data(make_problem(4, 0.5, 1.0, sampler="gaussian"), 8, 0, seed=3)
+        P = matrix("cycle", 3)
+        result = run(prob, coordinates, P, StepSchedule(0.05), T=3)
+        stats = AgentStats.from_data(coordinates, 3)
+        return prob, P, coordinates[0], gaussian, stats, result.records, result.final, result
+
+    for one, two in zip(build(), build()):
+        assert type(one) is type(two)
+        assert one == one and one != two and not one == two, type(one).__name__
+        assert hash(one) == hash(one)
+        assert {one: 1, two: 2}[one] == 1
 
 
 def reference_step(state, stats, prob, P, eta, variant):
@@ -888,7 +1003,7 @@ def test_block_records_equal_states_scored_alone(sampler, m, diverging_eta):
     assert len(records) == len(states) == 100
     assert len(records) > block and len(records) % block != 0
     for row, state in enumerate(states):
-        assert_same_bits(records, row, decompose([state], prob), 0)
+        assert_same_bits(records, row, decompose(stack([state]), prob), 0)
 
     states = []
     with warnings.catch_warnings():
@@ -900,7 +1015,7 @@ def test_block_records_equal_states_scored_alone(sampler, m, diverging_eta):
     assert records.t.tolist() == list(range(1, info.value.iteration))
     assert len(states) == len(records)
     for row, state in enumerate(states):
-        assert_same_bits(records, row, decompose([state], prob), 0)
+        assert_same_bits(records, row, decompose(stack([state]), prob), 0)
 
 
 def test_run_holds_its_records_once():
