@@ -464,8 +464,9 @@ def run(
     def states(index, t, keep=np.asarray):
         """The states in rows ``index``; ``keep=np.copy`` for states that outlive their rows."""
         shared = shared_rows[index]
-        fields = local_rows[index], shared[..., 0, :], shared[..., 1, :], popcov_rows[index]
-        return TrainState(t, *map(keep, (*fields, shared[..., 2, :])))
+        pooled, population, avg = shared[..., 0, :], shared[..., 1, :], shared[..., 2, :]
+        fields = local_rows[index], pooled, population, popcov_rows[index], avg
+        return TrainState(t, *map(keep, fields))
 
     def flush():
         nonlocal base, filled
