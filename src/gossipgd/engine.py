@@ -453,6 +453,8 @@ def run(
     local_rows, popcov_rows = np.empty((2, rows + 2, n, d))
     shared_rows = np.empty((rows + 2, 3, d))  # pooled, population, popcov_avg
     t_rows = np.empty(rows, np.int64)
+    # the views of each row, made once: indexing the arrays at every step
+    # instead read +5% sweep time at stride 1, d = 16, n = 4 to 16 (2-core Xeon VM)
     locals_, popcovs = list(local_rows), list(popcov_rows)
     pooled_rows, avg_rows = list(shared_rows[:, 0]), list(shared_rows[:, 2])
     cur = 0 if stride == 1 or T == 1 else rows  # the row of the state at t
@@ -488,15 +490,7 @@ def run(
         advanced_rows = list(shared_rows[:, 1:2])
     advanced = np.zeros(recursion[2].shape)  # the rows _population_block advances, at t = 1
     after = variant == "gossip_after_gradient"
-
-    def factors(eta):
-        """The step-size factors, computed once per step size."""
-        decay = 1.0 - eta * tau
-        return decay, np.tile(decay, (n, 1)), eta * recursion[2]
-
-    decaying = sched.theta != 0.0  # else sched.at is called once
-    eta = sched.at(1)
-    decay, decay_rows, F = factors(eta)
+    eta = None  # the step size the factors below were computed for
     first = end = 1  # the population side is computed for steps first .. end - 1
     errors = []  # floating-point errors a block computed ahead raised
 
@@ -513,16 +507,17 @@ def run(
                 flush()
         if t == T:
             break
-        if decaying:
-            eta_t = sched.at(t)
-            if eta_t != eta:
-                eta = eta_t
-                decay, decay_rows, F = factors(eta)
         if (t + 1) % stride == 0 or t + 1 == T:
             new = base + filled
         else:
             new = rows + 1 if cur == rows else rows
         # each expression keeps its reference helper's order of evaluation
+        eta_t = sched.at(t)
+        if eta_t != eta:
+            eta = eta_t
+            decay = 1.0 - eta * tau
+            decay_rows = np.tile(decay, (n, 1))
+            F = eta * recursion[2]
         local, new_local = locals_[cur], locals_[new]
         if after:
             np.matmul(gossip, local - eta * gradients(local), out=new_local)
@@ -543,8 +538,7 @@ def run(
             # that overflows is dropped, and from then on each step is
             # computed as the run reaches it and warns as a lone step does
             quiet = not errors
-            stop = min(t + block, T) if quiet else t + 1
-            steps = [sched.at(s) for s in range(t, stop)] if decaying else [eta] * (stop - t)
+            steps = [sched.at(s) for s in range(t, min(t + block, T) if quiet else t + 1)]
             with np.errstate(call=note, over="call", invalid="call") if quiet else nullcontext():
                 ahead = _population_block(stats, tau, advanced, steps, recursion, F)
             if quiet and errors:

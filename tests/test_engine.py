@@ -27,6 +27,7 @@ from gossipgd import (
 from gossipgd import engine
 from gossipgd.diagnostics import decompose
 from gossipgd.engine import AgentStats
+from test_diagnostics import stack
 
 
 def matrix(kind, n, scheme="metropolis_lazy", **kw):
@@ -619,12 +620,6 @@ def test_record_stride_semantics():
 
     ragged = run(prob, datasets, P, sched, T=7, stride=3)
     assert ragged.records.t.tolist() == [3, 6, 7]
-
-
-def stack(states):
-    """The block ``decompose`` scores: each field of ``states`` stacked along a record axis."""
-    fields = dataclasses.fields(engine.TrainState)
-    return engine.TrainState(*(np.array([getattr(s, f.name) for s in states]) for f in fields))
 
 
 def assert_same_bits(records, row, ref, ref_row):
