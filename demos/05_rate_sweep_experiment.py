@@ -11,8 +11,7 @@ d = 8 coordinates, the exact expected slope of the final excess risk
 against nm is -0.685 at nm ~ 2^7: shallower than the minimax -0.8, the
 worst case over the source class, and tending to the parametric -1 once
 every coordinate is resolved.  Runs are seeded per (sweep point, replicate):
-rerunning the config, with any thread count, reproduces the CSV byte for
-byte.
+rerunning the config reproduces the CSV byte for byte.
 """
 
 from pathlib import Path
@@ -25,7 +24,7 @@ OUT.mkdir(exist_ok=True)
 config = HERE / "configs" / "rate_sweep.ini"
 
 print(f"== gossipgd run {config.name} ==")
-rc = main(["run", str(config), "--out", str(OUT), "--threads", "2"])
+rc = main(["run", str(config), "--out", str(OUT)])
 assert rc == 0
 
 csv_path = OUT / "rate_sweep.csv"

@@ -13,7 +13,6 @@ from .diagnostics import (
     bruteforce_network_error,
     decompose,
     fit_loglog_slope,
-    popcov_step,
 )
 from .engine import (
     AgentStats,
@@ -21,10 +20,7 @@ from .engine import (
     RunResult,
     StepSchedule,
     TrainState,
-    dgd_step,
-    population_step,
     run,
-    single_machine_step,
 )
 from .experiment import (
     ExperimentConfig,
@@ -92,7 +88,6 @@ __all__ = [
     "chebyshev_accelerate",
     "decompose",
     "derive_seed",
-    "dgd_step",
     "effective_dimension",
     "excess_risk",
     "fit_loglog_slope",
@@ -101,13 +96,10 @@ __all__ = [
     "make_problem",
     "mixing_cutoff",
     "moment_certificate",
-    "popcov_step",
-    "population_step",
     "rate_terms",
     "run",
     "run_experiment",
     "sample_agent_data",
-    "single_machine_step",
     "spectral_gap",
     "speedup",
     "summarize",

@@ -10,7 +10,7 @@ from . import experiment, tuning
 
 def _cmd_run(args) -> int:
     cfg = experiment.load_config(args.config)
-    path = experiment.run_experiment(cfg, out_dir=args.out, threads=args.threads)
+    path = experiment.run_experiment(cfg, out_dir=args.out)
     print(path)
     return 0
 
@@ -60,7 +60,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the sweeps in a config file")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=".", help="output directory (default: .)")
-    p_run.add_argument("--threads", type=int, default=1, help="parallel workers")
     p_run.set_defaults(func=_cmd_run)
 
     p_sum = sub.add_parser("summarize", help="summarize one or more results CSVs")

@@ -17,7 +17,7 @@ Keeping them in lockstep is what makes the error decomposition in
 the step-size factors once per step size (once per run when ``theta = 0``).
 The half of the step that reads no local iterate (population, noise terms,
 popcov_avg increments, and in diag mode the pooled iterate) is computed a
-block of steps ahead.  The public one-step helpers (:func:`dgd_step`,
+block of steps ahead.  The one-step helpers (:func:`dgd_step`,
 :func:`single_machine_step`, :func:`population_step`, :func:`noise_terms`
 and :func:`gossipgd.diagnostics.popcov_step`) are its reference: the fused step
 evaluates each of their expressions in the same order, in a block or not,

@@ -304,47 +304,35 @@ def _format_cell(value) -> str:
 def run_experiment(cfg: ExperimentConfig, out_dir=".", threads: int = 1) -> Path:
     """Run the full sweep and write one CSV; returns the output path.
 
-    Jobs may execute on ``threads`` workers, but rows are assembled in
-    sweep order and each job's randomness is fixed by its derived seed, so
-    the output bytes do not depend on the degree of parallelism.  The jobs
-    share ``cfg.problem`` and ``cfg.gossip``, built before the first job.
+    Jobs run in sweep order on the calling thread, and each job's
+    randomness is fixed by its derived seed.  The jobs share
+    ``cfg.problem`` and ``cfg.gossip``.  ``threads`` has no effect; it
+    must be >= 1.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    # cached before the first job, so worker threads only read them; both
-    # are frozen, with read-only arrays
+    # a config that load_config did not build, such as a dataclasses.replace
+    # copy, builds them here, so a bad one fails before anything is written
     cfg.problem, cfg.gossip
-    jobs = []
-    for sweep_index, (n, m) in enumerate(product(cfg.sweep_n, cfg.sweep_m)):
-        for replicate in range(cfg.replicates):
-            jobs.append((sweep_index, n, m, replicate))
-
-    def work(job):
-        return _run_one(cfg, *job)
+    jobs = (
+        _run_one(cfg, sweep_index, n, m, replicate)
+        for sweep_index, (n, m) in enumerate(product(cfg.sweep_n, cfg.sweep_m))
+        for replicate in range(cfg.replicates)
+    )
 
     out_path = Path(out_dir) / cfg.output
     out_path.parent.mkdir(parents=True, exist_ok=True)
     # rows stream to a temp file in sweep order; it replaces out_path only
     # once every job has finished, so a failed sweep leaves no truncated CSV
     tmp_path = out_path.with_name(f".{out_path.name}.tmp")
-
-    def write(blocks):
+    try:
         with open(tmp_path, "w", encoding="utf-8", newline="\n") as fh:
             for line in _config_echo(cfg):
                 fh.write(line + "\n")
             fh.write(",".join(RUN_RECORD_COLUMNS) + "\n")
             # each job's lines are written as they are joined, and dropped
             # before the next job runs
-            fh.writelines(chain.from_iterable(blocks))
-
-    try:
-        if threads == 1:  # no pool, and no import of concurrent.futures
-            write(map(work, jobs))
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                write(pool.map(work, jobs))
+            fh.writelines(chain.from_iterable(jobs))
         os.replace(tmp_path, out_path)
     except BaseException:
         tmp_path.unlink(missing_ok=True)

@@ -82,25 +82,26 @@ def check_theta(theta: float) -> None:
         raise ValueError(f"theta must be in [0, 3/4), got {theta}")
 
 
+def _check_r_sigma2(r, sigma2):
+    if not 0.5 <= r < math.inf:  # also false for nan
+        raise ValueError(f"smoothness exponent r must be finite and >= 1/2, got {r}")
+    if not 0.0 <= sigma2 < 1.0:
+        raise ValueError(f"sigma2 must be in [0, 1), got {sigma2}")
+
+
 def _validate_common(n, m, r, gamma, sigma2):
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    if not 0.5 <= r < math.inf:  # also false for nan
-        raise ValueError(f"smoothness exponent r must be finite and >= 1/2, got {r}")
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    if not 0.0 <= sigma2 < 1.0:
-        raise ValueError(f"sigma2 must be in [0, 1), got {sigma2}")
+    _check_r_sigma2(r, sigma2)
 
 
 def mixing_cutoff(r: float, t: int, sigma2: float) -> int:
     """Iterations after which gossip noise is mixed: ceil((r+1) ln(t) / gap)."""
     if t < 2:
         raise ValueError("mixing cutoff needs t >= 2")
-    if not 0.5 <= r < math.inf:  # also false for nan
-        raise ValueError(f"smoothness exponent r must be finite and >= 1/2, got {r}")
-    if not 0.0 <= sigma2 < 1.0:
-        raise ValueError(f"sigma2 must be in [0, 1), got {sigma2}")
+    _check_r_sigma2(r, sigma2)
     return int(math.ceil(_snap((r + 1.0) * math.log(t) / (1.0 - sigma2))))
 
 

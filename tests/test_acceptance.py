@@ -351,7 +351,7 @@ def test_08_population_descent_respects_bias_envelope(capsys):
             for t in range(1, 10_001):
                 eta = sched.at(t)
                 eta_sum += eta
-                mu = g.population_step(mu, prob, eta)
+                mu = g.engine.population_step(mu, prob, eta)
                 lhs = math.sqrt(float(prob.tau @ (mu - prob.target) ** 2))
                 rhs = R * (r / (2.0 * eta_sum)) ** r
                 if lhs > rhs * (1.0 + 1e-12):

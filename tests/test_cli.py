@@ -52,9 +52,12 @@ def test_run_prints_output_path(config_path, tmp_path, capsys):
     assert (tmp_path / "results.csv").exists()
 
 
-def test_run_threads_flag(config_path, tmp_path, capsys):
-    assert main(["run", str(config_path), "--out", str(tmp_path), "--threads", "2"]) == 0
-    assert (tmp_path / "results.csv").exists()
+def test_run_has_no_threads_flag(config_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(config_path), "--out", str(tmp_path), "--threads", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_summarize_prints_table_and_slope(config_path, tmp_path, capsys):

@@ -13,11 +13,10 @@ from gossipgd import (
     build_topology,
     fit_loglog_slope,
     make_problem,
-    popcov_step,
     run,
     sample_agent_data,
 )
-from gossipgd.diagnostics import decompose
+from gossipgd.diagnostics import decompose, popcov_step
 from gossipgd.engine import TrainState
 
 

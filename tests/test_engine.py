@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gossipgd
 from gossipgd import (
     AgentData,
     CoordinateData,
@@ -19,14 +20,12 @@ from gossipgd import (
     build_gossip_matrix,
     build_topology,
     make_problem,
-    popcov_step,
-    population_step,
     run,
     sample_agent_data,
 )
-from gossipgd import engine
-from gossipgd.diagnostics import decompose
-from gossipgd.engine import AgentStats
+from gossipgd import diagnostics, engine
+from gossipgd.diagnostics import decompose, popcov_step
+from gossipgd.engine import AgentStats, population_step
 from test_diagnostics import stack
 
 
@@ -1120,6 +1119,18 @@ def test_run_validation():
         run(prob, datasets[:1], P, sched, T=5)
     with pytest.raises(ValueError):
         run(make_problem(3, 1.0, 1.0), datasets, P, sched, T=5)
+    stats = AgentStats.from_data(datasets, 2)
+    with pytest.raises(ValueError, match=r"^unknown protocol variant 'telepathy'$"):
+        engine.dgd_step(np.zeros((2, 2)), stats, P.entries, 0.1, variant="telepathy")
+
+
+def test_reference_steps_are_not_package_exports():
+    # they live where the fused step's tests and the benchmark's tracer read them
+    steps = {"dgd_step": engine, "single_machine_step": engine, "population_step": engine,
+             "popcov_step": diagnostics}
+    for name, module in steps.items():
+        assert callable(getattr(module, name))
+        assert not hasattr(gossipgd, name) and name not in gossipgd.__all__
 
 
 def test_divergence_raises_with_partial_records():

@@ -156,60 +156,108 @@ T_max = 10
 COMPLETE = "kind = complete\nweight_scheme = uniform_complete"
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda t: t.replace("[schedule]\neta = 0.05", "[schedule]\n"),  # missing eta
-        lambda t: t.replace("[run]", "[walk]"),  # missing section
-        lambda t: t + "\n[extra]\nfoo = 1\n",  # unknown section
-        lambda t: t.replace("T_max = 3", "T_max = 3\nbudget = 9"),  # unknown key
-        lambda t: t.replace("eta = 0.05", "eta = auto\ntheta = 0.25"),
-        lambda t: t.replace("eta = 0.05", "eta = -0.05"),
-        lambda t: t.replace("eta = 0.05", "eta = sometimes"),
-        lambda t: t.replace("T_max = 3", "T_max = 0"),
-        lambda t: t.replace("replicates = 3", "replicates = 0"),
-        lambda t: t.replace("kind = complete", "kind = hypercube"),
-        lambda t: t.replace("uniform_complete", "doubly_lazy"),
-        lambda t: t.replace("d = 4", "d = 4.5"),
-        lambda t: t.replace("m = 8 16", "m ="),
-        lambda t: t.replace("m = 8 16", "m = 8 0"),
-        lambda t: t.replace("r = 1.0", "r = 0.25"),
-        lambda t: t.replace("eta = 0.05", "eta = 0.05\ntheta = 0.9"),
-        lambda t: t.replace("eta = 0.05", "eta = 0.05\ntheta = 0.75"),
-        # graphs are built for every sweep n at load time
+# each config edit and how load_config rejects it: the error names the
+# section, key or line at fault
+LOAD_ERRORS = {
+    "missing-eta": (lambda t: t.replace("[schedule]\neta = 0.05", "[schedule]\n"),
+        r"^\[schedule\] missing required key 'eta'$"),
+    "missing-section": (lambda t: t.replace("[schedule]\n", ""),
+        r"^missing config section \[schedule\]$"),
+    "renamed-section": (lambda t: t.replace("[run]", "[walk]"),
+        r"^unknown config sections: \['walk'\]$"),
+    "unknown-section": (lambda t: t + "\n[extra]\nfoo = 1\n",
+        r"^unknown config sections: \['extra'\]$"),
+    "unknown-key": (lambda t: t.replace("T_max = 3", "T_max = 3\nbudget = 9"),
+        r"^\[run\] unknown keys: budget$"),
+    "auto-eta-with-theta": (lambda t: t.replace("eta = 0.05", "eta = auto\ntheta = 0.25"),
+        r"^\[schedule\] eta = auto requires theta = 0"),
+    "eta-negative": (lambda t: t.replace("eta = 0.05", "eta = -0.05"),
+        r"^\[schedule\] eta must be positive and finite, got -0.05$"),
+    "eta-not-a-number": (lambda t: t.replace("eta = 0.05", "eta = sometimes"),
+        r"^\[schedule\] eta = 'sometimes': could not convert"),
+    "T_max-0": (lambda t: t.replace("T_max = 3", "T_max = 0"),
+        r"^\[run\] T_max = '0': must be >= 1$"),
+    "replicates-0": (lambda t: t.replace("replicates = 3", "replicates = 0"),
+        r"^\[run\] replicates = '0': must be >= 1$"),
+    "unknown-kind": (lambda t: t.replace("kind = complete", "kind = hypercube"),
+        r"^\[topology\] kind = 'hypercube': must be one of \('complete', "),
+    "unknown-weight-scheme": (lambda t: t.replace("uniform_complete", "doubly_lazy"),
+        r"^\[topology\] weight_scheme = 'doubly_lazy': must be one of "),
+    "d-not-an-int": (lambda t: t.replace("d = 4", "d = 4.5"),
+        r"^\[problem\] d = '4.5': invalid literal for int\(\)"),
+    "m-empty": (lambda t: t.replace("m = 8 16", "m ="),
+        r"^\[sweep\] m = '': empty list$"),
+    "m-0": (lambda t: t.replace("m = 8 16", "m = 8 0"),
+        r"^\[sweep\] m = '8 0': must be all >= 1$"),
+    "r-below-half": (lambda t: t.replace("r = 1.0", "r = 0.25"),
+        r"^\[problem\] smoothness exponent r must be >= 1/2, got 0.25$"),
+    "theta-0.9": (lambda t: t.replace("eta = 0.05", "eta = 0.05\ntheta = 0.9"),
+        r"^\[schedule\] theta must be in \[0, 3/4\), got 0.9$"),
+    "theta-0.75": (lambda t: t.replace("eta = 0.05", "eta = 0.05\ntheta = 0.75"),
+        r"^\[schedule\] theta must be in \[0, 3/4\), got 0.75$"),
+    # graphs are built for every sweep n at load time
+    "cycle-n2": (
         lambda t: t.replace(COMPLETE, "kind = cycle").replace("n = 4 8", "n = 2 4"),
-        lambda t: t.replace(COMPLETE, "kind = grid2d"),  # n = 8 is not square
-        lambda t: t.replace(COMPLETE, "kind = random_regular\ndegree = 5"),  # degree >= n = 4
-        # uniform_complete weights need the complete graph at every sweep n
-        lambda t: t.replace("kind = complete", "kind = cycle"),
-        # float keys must be finite
-        lambda t: t.replace("r = 1.0", "r = 1.0\nR = inf"),
-        lambda t: t.replace("r = 1.0", "r = inf"),
-        lambda t: t.replace("eta = 0.05", "eta = inf"),
-        lambda t: t.replace("noise_sigma = 0.2", "noise_sigma = inf"),
-        # the ranges of the keys that the problem and the step schedule check
-        lambda t: t.replace("gamma = 0.5", "gamma = 0"),
-        lambda t: t.replace("gamma = 0.5", "gamma = 1.5"),
-        lambda t: t.replace("d = 4", "d = 0"),
-        lambda t: t.replace("r = 1.0", "r = 1.0\nR = 0"),
-        lambda t: t.replace("noise_sigma = 0.2", "noise_sigma = -1"),
+        r"^\[topology\] kind = cycle at sweep n = 2: cycle needs n >= 3"),
+    "grid2d-not-square": (lambda t: t.replace(COMPLETE, "kind = grid2d"),  # n = 8
+        r"^\[topology\] kind = grid2d at sweep n = 8: grid2d without rows/cols needs a"),
+    "degree-at-least-n": (
+        lambda t: t.replace(COMPLETE, "kind = random_regular\ndegree = 5"),
+        r"^\[topology\] kind = random_regular at sweep n = 4: degree must be in \[1, n\)"),
+    # uniform_complete weights need the complete graph at every sweep n
+    "uniform_complete-on-a-cycle": (lambda t: t.replace("kind = complete", "kind = cycle"),
+        r"^\[topology\] kind = cycle at sweep n = 4: uniform_complete weights need the"),
+    # float keys must be finite
+    "R-inf": (lambda t: t.replace("r = 1.0", "r = 1.0\nR = inf"),
+        r"^\[problem\] R must be finite, got inf$"),
+    "r-inf": (lambda t: t.replace("r = 1.0", "r = inf"),
+        r"^\[problem\] r must be finite, got inf$"),
+    "eta-inf": (lambda t: t.replace("eta = 0.05", "eta = inf"),
+        r"^\[schedule\] eta must be positive and finite, got inf$"),
+    "noise_sigma-inf": (lambda t: t.replace("noise_sigma = 0.2", "noise_sigma = inf"),
+        r"^\[problem\] noise_sigma must be finite, got inf$"),
+    # the ranges of the keys that the problem and the step schedule check
+    "gamma-0": (lambda t: t.replace("gamma = 0.5", "gamma = 0"),
+        r"^\[problem\] gamma must be in \(0, 1\], got 0.0$"),
+    "gamma-1.5": (lambda t: t.replace("gamma = 0.5", "gamma = 1.5"),
+        r"^\[problem\] gamma must be in \(0, 1\], got 1.5$"),
+    "d-0": (lambda t: t.replace("d = 4", "d = 0"),
+        r"^\[problem\] d must be >= 1, got 0$"),
+    "R-0": (lambda t: t.replace("r = 1.0", "r = 1.0\nR = 0"),
+        r"^\[problem\] smoothness radius R must be positive, got 0.0$"),
+    "noise_sigma-negative": (lambda t: t.replace("noise_sigma = 0.2", "noise_sigma = -1"),
+        r"^\[problem\] noise_sigma must be nonnegative, got -1.0$"),
+    "unknown-sampler": (
         lambda t: t.replace("noise_sigma = 0.2", "noise_sigma = 0.2\nsampler = x"),
-        lambda t: t.replace("eta = 0.05", "eta = 0.05\ntheta = -0.1"),
-        lambda t: t.replace("eta = 0.05", "eta = nan"),
-        # the output must name a file, not a directory
-        pytest.param(lambda t: t.replace("output = results.csv", "output ="), id="empty"),
-        pytest.param(lambda t: t.replace("output = results.csv", "output = ."), id="dot"),
-        pytest.param(lambda t: t.replace("output = results.csv", "output = .."), id="dotdot"),
-        # text that is not INI
-        pytest.param(lambda t: t.replace("d = 4", "d = 4\nd = 5"), id="duplicate-key"),
-        pytest.param(lambda t: t + "\n[run]\nstride = 2\n", id="duplicate-section"),
-        pytest.param(lambda t: "d = 4\n" + t, id="outside-a-section"),
-        pytest.param(lambda t: t.replace("T_max = 3", "T_max = 3\nbudget"), id="not-key-value"),
-    ],
-)
-def test_load_config_rejects(tmp_path, mutate):
+        r"^\[problem\] unknown sampler 'x', not one of "),
+    "theta-negative": (lambda t: t.replace("eta = 0.05", "eta = 0.05\ntheta = -0.1"),
+        r"^\[schedule\] theta must be in \[0, 3/4\), got -0.1$"),
+    "eta-nan": (lambda t: t.replace("eta = 0.05", "eta = nan"),
+        r"^\[schedule\] eta must be positive and finite, got nan$"),
+    # the output must name a file, not a directory
+    "empty": (lambda t: t.replace("output = results.csv", "output ="),
+        r"^\[run\] output = '': must be a file name$"),
+    "dot": (lambda t: t.replace("output = results.csv", "output = ."),
+        r"^\[run\] output = '\.': must be a file name$"),
+    "dotdot": (lambda t: t.replace("output = results.csv", "output = .."),
+        r"^\[run\] output = '\.\.': must be a file name$"),
+    # text that is not INI; the error names the file's line
+    "duplicate-key": (lambda t: t.replace("d = 4", "d = 4\nd = 5"),
+        r"\[line 4\]: option 'd' in section 'problem' already exists$"),
+    "duplicate-section": (lambda t: t + "\n[run]\nstride = 2\n",
+        r"\[line 26\]: section 'run' already exists$"),
+    "outside-a-section": (lambda t: "d = 4\n" + t,
+        r"^File contains no section headers\. file: '.*', line: 1 'd = 4\\n'$"),
+    "not-key-value": (lambda t: t.replace("T_max = 3", "T_max = 3\nbudget"),
+        r"\[line 21\]: 'budget\\n'$"),
+}
+
+
+@pytest.mark.parametrize("name", LOAD_ERRORS)
+def test_load_config_rejects(tmp_path, name):
+    mutate, match = LOAD_ERRORS[name]
     path = write_config(tmp_path, mutate(BASE_CONFIG))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         load_config(path)
 
 
@@ -534,15 +582,16 @@ def test_sweep_holds_one_jobs_lines_at_a_time(tmp_path):
     assert two_jobs < one_job + out.stat().st_size / 2 / 8
 
 
-def test_one_thread_builds_no_pool(tmp_path):
-    # threads = 1, the default here and on the command line, runs the jobs in
-    # the calling thread without importing concurrent.futures
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_builds_no_pool(tmp_path, threads):
+    # the jobs run in the calling thread at any thread count, without
+    # importing concurrent.futures
     config = write_config(tmp_path)
     script = (
         "import sys\n"
         "import gossipgd\n"
         "from gossipgd import load_config, run_experiment\n"
-        f"run_experiment(load_config({str(config)!r}), {str(tmp_path)!r}, threads=1)\n"
+        f"run_experiment(load_config({str(config)!r}), {str(tmp_path)!r}, threads={threads})\n"
         "print(sorted(name for name in sys.modules if name.startswith('concurrent')))\n"
     )
     env = dict(os.environ)
@@ -557,7 +606,7 @@ def test_one_thread_builds_no_pool(tmp_path):
 
 def test_run_experiment_rejects_bad_threads(tmp_path):
     cfg = load_config(write_config(tmp_path))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^threads must be >= 1$"):
         run_experiment(cfg, out_dir=tmp_path, threads=0)
 
 
@@ -601,8 +650,16 @@ def test_summarize_slope_and_render(tmp_path):
     text = table.render()
     assert "excess_mean" in text and "log-log slope vs m" in text
 
-    single = summarize([out], group_by=("m",))
-    assert [e["m"] for e in single.rows] == [4, 8, 16]
+
+@pytest.mark.parametrize("column, kind", [("m", int), ("eta", float), ("regime", str)])
+def test_summarize_groups_by_a_column_in_its_cell_type(tmp_path, column, kind):
+    # a cell that is not an int groups as a float, and one that is neither as text
+    out = run_experiment(load_config(slope_config(tmp_path)), out_dir=tmp_path)
+    table = summarize([out], group_by=(column,))
+    keys = [entry[column] for entry in table.rows]
+    assert all(type(key) is kind for key in keys)
+    assert keys == sorted({kind(row[column]) for row in read_rows(out)})
+    assert sum(entry["runs"] for entry in table.rows) == 3 * 3  # m values x replicates
 
 
 def test_summarize_rejects_bad_requests(tmp_path):

@@ -83,22 +83,36 @@ def test_custom_edge_list():
 
 
 @pytest.mark.parametrize(
-    "top",
+    "top, match",
     [
-        Topology("cycle", 2),
-        Topology("grid2d", 6, rows=2, cols=2),
-        Topology("custom_edge_list", 4, edges=((0, 1), (2, 3))),  # disconnected
-        Topology("custom_edge_list", 2, edges=((0, 0),)),  # self loop
-        Topology("custom_edge_list", 2, edges=((0, 1), (1, 0))),  # duplicate
-        Topology("custom_edge_list", 2, edges=((0, 5),)),  # out of range
-        Topology("random_regular", 5, degree=3),  # odd n * degree
-        Topology("random_regular", 4, degree=4),  # degree >= n
-        Topology("random_regular", 4, degree=1),  # bare matching, disconnected
-        Topology("nonsense", 4),
+        pytest.param(Topology("cycle", 2), r"^cycle needs n >= 3", id="cycle-n2"),
+        pytest.param(Topology("grid2d", 6, rows=2, cols=2),
+                     r"^grid2d needs rows\*cols == n, got 2x2 != 6$", id="grid2d-2x2-n6"),
+        pytest.param(Topology("custom_edge_list", 4, edges=((0, 1), (2, 3))),
+                     r"^graph is disconnected \(2 of 4 nodes reached\)$", id="disconnected"),
+        pytest.param(Topology("custom_edge_list", 2, edges=((0, 0),)),
+                     r"^self-loop at node 0$", id="self-loop"),
+        pytest.param(Topology("custom_edge_list", 2, edges=((0, 1), (1, 0))),
+                     r"^duplicate edge \(0, 1\)$", id="duplicate-edge"),
+        pytest.param(Topology("custom_edge_list", 2, edges=((0, 5),)),
+                     r"^edge \(0, 5\) out of range for n=2$", id="edge-out-of-range"),
+        pytest.param(Topology("custom_edge_list", 3),
+                     r"^custom_edge_list needs an explicit edge list$", id="no-edges"),
+        pytest.param(Topology("star", 1), r"^star needs n >= 2$", id="star-n1"),
+        pytest.param(Topology("random_regular", 5, degree=3),
+                     r"^n \* degree must be even", id="odd-n-times-degree"),
+        pytest.param(Topology("random_regular", 4, degree=4),
+                     r"^degree must be in \[1, n\), got 4$", id="degree-at-least-n"),
+        pytest.param(Topology("random_regular", 4, degree=1),
+                     r"^degree 1 is a bare matching, disconnected", id="degree-1"),
+        pytest.param(Topology("random_regular", 4),
+                     r"^random_regular needs a degree$", id="no-degree"),
+        pytest.param(Topology("nonsense", 4),
+                     r"^unknown topology kind 'nonsense', not one of \(", id="unknown-kind"),
     ],
 )
-def test_bad_topologies_raise(top):
-    with pytest.raises(ValueError):
+def test_bad_topologies_raise(top, match):
+    with pytest.raises(ValueError, match=match):
         build_topology(top)
 
 
@@ -149,6 +163,12 @@ def test_cycle4_max_degree_matrix():
     # circulant eigenvalues 1/3 + (2/3) cos(2 pi k / 4)
     assert np.allclose(sorted(P.eigenvalues), [-1 / 3, 1 / 3, 1 / 3, 1.0], atol=1e-12)
     assert P.sigma2 == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+def test_unknown_weight_scheme_raises():
+    graph = build_topology(Topology("cycle", 4))
+    with pytest.raises(ValueError, match=r"^unknown weight scheme 'doubly_lazy', not one of \("):
+        build_gossip_matrix(graph, "doubly_lazy")
 
 
 def test_uniform_complete_is_exact():

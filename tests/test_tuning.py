@@ -168,11 +168,12 @@ def test_mixing_cutoff_monotone():
 
 
 def test_mixing_cutoff_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mixing cutoff needs t >= 2$"):
         mixing_cutoff(1.0, 1, 0.5)
-    with pytest.raises(ValueError):
+    # the same checks, and messages, as tune_plan's for r and sigma2
+    with pytest.raises(ValueError, match=r"^smoothness exponent r must be finite and >= 1/2, got"):
         mixing_cutoff(0.4, 10, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^sigma2 must be in \[0, 1\), got 1.0$"):
         mixing_cutoff(1.0, 10, 1.0)
 
 
@@ -266,10 +267,21 @@ def test_speedup_values():
 def test_speedup_monotone_in_delay():
     vals = [speedup(50, 60, 8, 100, tau, 2) for tau in (0.0, 10.0, 100.0)]
     assert vals == sorted(vals, reverse=True)
-    with pytest.raises(ValueError):
-        speedup(0, 50, 8, 100, 0.0, 0)
-    with pytest.raises(ValueError):
-        speedup(50, 50, 8, 100, -1.0, 0)
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        pytest.param((0, 50, 8, 100, 0.0, 0), r"^iteration counts must be >= 1$", id="t_single-0"),
+        pytest.param((50, 0, 8, 100, 0.0, 0), r"^iteration counts must be >= 1$", id="t_dist-0"),
+        pytest.param((50, 50, 0, 100, 0.0, 0), r"^n and m must be >= 1$", id="n-0"),
+        pytest.param((50, 50, 8, 0, 0.0, 0), r"^n and m must be >= 1$", id="m-0"),
+        pytest.param((50, 50, 8, 100, -1.0, 0), r"^tau_delay and deg must be", id="tau_delay"),
+    ],
+)
+def test_speedup_rejects(args, match):
+    with pytest.raises(ValueError, match=match):
+        speedup(*args)
 
 
 def test_runtime_model():
